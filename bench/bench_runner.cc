@@ -6,7 +6,7 @@
 //   flags: --threads N (default 4) --seed S --out DIR (default ".")
 //
 // Each suite emits <out>/BENCH_<suite>.json (clover-bench-v1, see
-// bench/timing.h for the schema; scripts/validate_bench_json.py validates
+// exp/bench_json.h for the schema; scripts/validate_bench_json.py validates
 // it) and prints the same numbers as a human table.
 //
 // Scenarios:
@@ -78,12 +78,14 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/check.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
 #include "core/harness.h"
 #include "core/live_service.h"
+#include "exp/bench_json.h"
 #include "exp/campaign.h"
 #include "exp/runner.h"
 #include "fleet/fleet_sim.h"
@@ -98,7 +100,6 @@
 #include "opt/surrogate.h"
 #include "sim/arrivals.h"
 #include "sim/sharded_sim.h"
-#include "timing.h"
 
 namespace clover::bench {
 namespace {
@@ -202,9 +203,9 @@ carbon::CarbonTrace FlatBenchTrace() {
 // ---------------------------------------------------------------------------
 // sim_hot_path: raw simulator throughput.
 // ---------------------------------------------------------------------------
-ScenarioTiming RunSimHotPath(const RunnerFlags& flags,
-                             const SuiteScale& scale,
-                             const carbon::CarbonTrace& trace) {
+exp::ScenarioTiming RunSimHotPath(const RunnerFlags& flags,
+                                  const SuiteScale& scale,
+                                  const carbon::CarbonTrace& trace) {
   const models::ModelZoo& zoo = models::DefaultZoo();
   const models::Application app = models::Application::kClassification;
   serving::Deployment base = serving::MakeBase(app, scale.gpus);
@@ -217,7 +218,7 @@ ScenarioTiming RunSimHotPath(const RunnerFlags& flags,
   sim.AdvanceTo(scale.sim_seconds);
   const double wall = timer.Seconds();
 
-  ScenarioTiming timing;
+  exp::ScenarioTiming timing;
   timing.name = "sim_hot_path";
   timing.wall_seconds = wall;
   timing.events = sim.total_arrivals() + sim.total_completions();
@@ -234,8 +235,9 @@ ScenarioTiming RunSimHotPath(const RunnerFlags& flags,
 // ---------------------------------------------------------------------------
 // sharded_sim: lane-parallel simulation with the epoch-barrier merge.
 // ---------------------------------------------------------------------------
-ScenarioTiming RunShardedSim(const RunnerFlags& flags, const SuiteScale& scale,
-                             const carbon::CarbonTrace& trace) {
+exp::ScenarioTiming RunShardedSim(const RunnerFlags& flags,
+                                  const SuiteScale& scale,
+                                  const carbon::CarbonTrace& trace) {
   const models::ModelZoo& zoo = models::DefaultZoo();
   const models::Application app = models::Application::kClassification;
   // Small lanes, many of them: 2 GPUs per lane keeps the per-lane state
@@ -255,7 +257,7 @@ ScenarioTiming RunShardedSim(const RunnerFlags& flags, const SuiteScale& scale,
   const double wall = timer.Seconds();
   const sim::ShardedSummary summary = sharded.Summary();
 
-  ScenarioTiming timing;
+  exp::ScenarioTiming timing;
   timing.name = "sharded_sim";
   timing.wall_seconds = wall;
   timing.events = summary.sim_events;
@@ -419,16 +421,16 @@ SearchRun RunScreenedOnce(const OptContext& context, const RunnerFlags& flags,
 // tier's whole point is that considering a candidate no longer requires
 // simulating it. The unscreened run with the same thread count anchors the
 // throughput ratio in the notes.
-ScenarioTiming RunOptScreened(const OptContext& context,
-                              const RunnerFlags& flags,
-                              const SuiteScale& scale) {
+exp::ScenarioTiming RunOptScreened(const OptContext& context,
+                                   const RunnerFlags& flags,
+                                   const SuiteScale& scale) {
   const SearchRun baseline = RunRandomOnce(context, flags, scale,
                                            flags.threads);
   const SearchRun serial = RunScreenedOnce(context, flags, scale, 1);
   const SearchRun parallel = RunScreenedOnce(context, flags, scale,
                                              flags.threads);
 
-  ScenarioTiming timing;
+  exp::ScenarioTiming timing;
   timing.name = "opt_screened";
   timing.wall_seconds = parallel.wall_seconds;
   timing.candidates = parallel.result.evaluations.size() +
@@ -459,13 +461,13 @@ ScenarioTiming RunOptScreened(const OptContext& context,
 }
 
 template <typename RunOnce>
-ScenarioTiming CompareSerialParallel(const std::string& name,
-                                     const RunnerFlags& flags,
-                                     RunOnce&& run_once) {
+exp::ScenarioTiming CompareSerialParallel(const std::string& name,
+                                          const RunnerFlags& flags,
+                                          RunOnce&& run_once) {
   const SearchRun serial = run_once(1);
   const SearchRun parallel = run_once(flags.threads);
 
-  ScenarioTiming timing;
+  exp::ScenarioTiming timing;
   timing.name = name;
   timing.wall_seconds = parallel.wall_seconds;
   timing.candidates = parallel.result.evaluations.size();
@@ -493,9 +495,9 @@ ScenarioTiming CompareSerialParallel(const std::string& name,
 // ---------------------------------------------------------------------------
 // fault_recovery: the verification subsystem's fault engine end to end.
 // ---------------------------------------------------------------------------
-ScenarioTiming RunFaultRecovery(const RunnerFlags& flags,
-                                const SuiteScale& scale,
-                                const carbon::CarbonTrace& trace) {
+exp::ScenarioTiming RunFaultRecovery(const RunnerFlags& flags,
+                                     const SuiteScale& scale,
+                                     const carbon::CarbonTrace& trace) {
   const int gpus = std::min(scale.gpus, 4);
   core::ExperimentConfig config;
   config.app = models::Application::kClassification;
@@ -519,7 +521,7 @@ ScenarioTiming RunFaultRecovery(const RunnerFlags& flags,
   // bit-identically (the determinism gate CI enforces via exit status).
   const core::RunReport twin = harness.Run(config);
 
-  ScenarioTiming timing;
+  exp::ScenarioTiming timing;
   timing.name = "fault_recovery";
   timing.wall_seconds = wall;
   timing.events = run.sim_events;
@@ -560,8 +562,8 @@ fleet::FleetConfig MakeFleetConfig(const RunnerFlags& flags,
   return config;
 }
 
-ScenarioTiming RunFleetRouting(const RunnerFlags& flags,
-                               const SuiteScale& scale) {
+exp::ScenarioTiming RunFleetRouting(const RunnerFlags& flags,
+                                    const SuiteScale& scale) {
   const models::ModelZoo& zoo = models::DefaultZoo();
   WallTimer timer;
   const fleet::FleetReport greedy = fleet::RunFleet(
@@ -574,7 +576,7 @@ ScenarioTiming RunFleetRouting(const RunnerFlags& flags,
                       flags.threads),
       zoo);
 
-  ScenarioTiming timing;
+  exp::ScenarioTiming timing;
   timing.name = "fleet_routing";
   timing.wall_seconds = wall;
   timing.events = greedy.fleet.sim_events;
@@ -610,8 +612,8 @@ ScenarioTiming RunFleetRouting(const RunnerFlags& flags,
 // Builds the cell through exp::MakeFleetCellConfig — the exact path the
 // nightly 1000-region campaign (campaigns/fleet_1000region_toy.json) takes
 // — so the bench measures what the campaign pays, replica tiling included.
-ScenarioTiming RunMeanFieldFleet(const RunnerFlags& flags,
-                                 const SuiteScale& scale) {
+exp::ScenarioTiming RunMeanFieldFleet(const RunnerFlags& flags,
+                                      const SuiteScale& scale) {
   exp::CellSpec cell;
   cell.mode = exp::CampaignMode::kFleet;
   cell.scheme = core::Scheme::kBase;
@@ -633,7 +635,7 @@ ScenarioTiming RunMeanFieldFleet(const RunnerFlags& flags,
   // reproduce the report bit for bit — same gate the unit test pins.
   const fleet::FleetReport twin = fleet::RunFleetMeanField(config, zoo);
 
-  ScenarioTiming timing;
+  exp::ScenarioTiming timing;
   timing.name = "meanfield_fleet";
   timing.wall_seconds = wall;
   timing.events = run.fleet.sim_events;
@@ -657,9 +659,9 @@ ScenarioTiming RunMeanFieldFleet(const RunnerFlags& flags,
 // ---------------------------------------------------------------------------
 // live_serving: the epoll front end + replay client over loopback TCP.
 // ---------------------------------------------------------------------------
-ScenarioTiming RunLiveServing(const RunnerFlags& flags,
-                              const SuiteScale& scale,
-                              const carbon::CarbonTrace& trace) {
+exp::ScenarioTiming RunLiveServing(const RunnerFlags& flags,
+                                   const SuiteScale& scale,
+                                   const carbon::CarbonTrace& trace) {
   core::ExperimentConfig config;
   config.app = models::Application::kClassification;
   config.scheme = core::Scheme::kClover;
@@ -684,7 +686,7 @@ ScenarioTiming RunLiveServing(const RunnerFlags& flags,
       run_once(static_cast<std::size_t>(flags.threads));
   const double wall = timer.Seconds();
 
-  ScenarioTiming timing;
+  exp::ScenarioTiming timing;
   timing.name = "live_serving";
   timing.wall_seconds = wall;
   timing.events = run.replay.sent;
@@ -744,9 +746,9 @@ ScenarioTiming RunLiveServing(const RunnerFlags& flags,
 // ratio lands in the notes column rather than a hard gate because wall
 // time on shared CI is noisy. Bit-identity of the two summaries IS gated:
 // instrumentation must never perturb simulation results.
-ScenarioTiming RunObsOverhead(const RunnerFlags& flags,
-                              const SuiteScale& scale,
-                              const carbon::CarbonTrace& trace) {
+exp::ScenarioTiming RunObsOverhead(const RunnerFlags& flags,
+                                   const SuiteScale& scale,
+                                   const carbon::CarbonTrace& trace) {
   const models::ModelZoo& zoo = models::DefaultZoo();
   const models::Application app = models::Application::kClassification;
   const int lane_gpus = 2;
@@ -786,7 +788,7 @@ ScenarioTiming RunObsOverhead(const RunnerFlags& flags,
   const auto [on_summary, on_wall] = run_best();
   obs::SetEnabled(was_enabled);
 
-  ScenarioTiming timing;
+  exp::ScenarioTiming timing;
   timing.name = "obs_overhead";
   timing.wall_seconds = on_wall;
   timing.events = on_summary.sim_events;
@@ -830,7 +832,7 @@ int main(int argc, char** argv) {
   std::cout << "==== bench_runner — suite " << flags.suite << " ====\n"
             << flags.threads << " threads | seed " << flags.seed << "\n\n";
 
-  bench::SuiteTiming suite;
+  exp::SuiteTiming suite;
   suite.suite = flags.suite;
   suite.threads = flags.threads;
   suite.seed = flags.seed;
@@ -875,7 +877,7 @@ int main(int argc, char** argv) {
     options.write_files = false;
     bench::WallTimer timer;
     const exp::CampaignResult run = exp::RunCampaign(campaign, options);
-    bench::ScenarioTiming timing = bench::FromReports(
+    exp::ScenarioTiming timing = exp::FromReports(
         "e2e_step", timer.Seconds(),
         {run.cells[0].report, run.cells[1].report});
     timing.notes = "BASE + CLOVER step-trace cells via the campaign "
@@ -905,8 +907,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(flags.out_dir);
   const std::string json_path =
       flags.out_dir + "/BENCH_" + flags.suite + ".json";
-  bench::WriteBenchJson(suite, json_path);
-  bench::PrintSuiteTable(suite);
+  exp::WriteBenchJson(suite, json_path);
+  exp::PrintSuiteTable(suite);
   std::cout << "\nwrote " << json_path << "\n";
 
   // Flight-recorder dumps: the suite's Chrome trace (Perfetto-loadable;
@@ -921,7 +923,7 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << trace_path << " and " << metrics_path << "\n";
 
   bool deterministic = true;
-  for (const bench::ScenarioTiming& scenario : suite.scenarios) {
+  for (const exp::ScenarioTiming& scenario : suite.scenarios) {
     if (scenario.deterministic) continue;
     deterministic = false;
     // Self-diagnosing failure: capture everything needed to replay this

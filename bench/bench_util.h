@@ -8,6 +8,7 @@
 // and prints aligned tables whose rows mirror the paper exhibit.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
@@ -45,5 +46,19 @@ std::string OutPath(const Flags& flags, const std::string& file);
 
 // Header banner with the reproduction context.
 void PrintBanner(const std::string& exhibit, const Flags& flags);
+
+// Monotonic wall-clock stopwatch every timed scenario uses.
+class WallTimer {
+ public:
+  WallTimer() : start_(std::chrono::steady_clock::now()) {}
+  double Seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+};
 
 }  // namespace clover::bench

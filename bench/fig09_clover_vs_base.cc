@@ -2,15 +2,15 @@
 // and overall — accuracy loss, carbon reduction, and SLA (p95) latency
 // normalized to BASE.
 //
-// Timing goes through bench/timing.h (the bench_runner utilities): the
-// human footer and the BENCH_fig09.json dropped into --out are computed
+// Timing goes through exp/bench_json.h (the bench_runner emission layer):
+// the human footer and the BENCH_fig09.json dropped into --out are computed
 // from the same WallTimer/FromReports numbers, so smoke-test output and
 // machine-readable baselines always agree.
 #include <iostream>
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "timing.h"
+#include "exp/bench_json.h"
 
 int main(int argc, char** argv) {
   using namespace clover;
@@ -69,15 +69,15 @@ int main(int argc, char** argv) {
 
   // Shared timing: one scenario row over all six runs, emitted both as the
   // perf footer and as machine-readable JSON next to the CSV dumps.
-  bench::SuiteTiming suite;
+  exp::SuiteTiming suite;
   suite.suite = "fig09";
   suite.threads = 2;  // bench::RunAll's default worker parallelism
   suite.seed = flags.seed;
   suite.scenarios.push_back(
-      bench::FromReports("fig09_clover_vs_base", timer.Seconds(), reports));
-  bench::WriteBenchJson(suite, bench::OutPath(flags, "BENCH_fig09.json"));
+      exp::FromReports("fig09_clover_vs_base", timer.Seconds(), reports));
+  exp::WriteBenchJson(suite, bench::OutPath(flags, "BENCH_fig09.json"));
   std::cout << "\n";
-  bench::PrintSuiteTable(suite);
+  exp::PrintSuiteTable(suite);
 
   std::cout << "\npaper: >75% carbon reduction per application with 2-4% "
                "accuracy loss (80% / 3% overall); p95 <= BASE.\n"

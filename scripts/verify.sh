@@ -93,6 +93,20 @@ if [[ "${CLOVER_SKIP_CAMPAIGN:-}" != 1 ]]; then
     --workers 2 --out "$BUILD_DIR/campaign_w2"
   cmp "$BUILD_DIR"/campaign_w1/CAMPAIGN_smoke.json \
     "$BUILD_DIR"/campaign_w2/CAMPAIGN_smoke.json
+  # Both fleet tiers (discrete-event CLOVER regions, 1000 fluid regions):
+  # the same 1-vs-2-worker byte-identity, plus the schema check.
+  for name in fleet_routing_toy fleet_1000region_toy; do
+    "$BUILD_DIR"/examples/clover_campaign run "campaigns/$name.json" \
+      --workers 1 --out "$BUILD_DIR/campaign_${name}_w1"
+    "$BUILD_DIR"/examples/clover_campaign run "campaigns/$name.json" \
+      --workers 2 --out "$BUILD_DIR/campaign_${name}_w2"
+    cmp "$BUILD_DIR/campaign_${name}_w1/CAMPAIGN_$name.json" \
+      "$BUILD_DIR/campaign_${name}_w2/CAMPAIGN_$name.json"
+    if command -v python3 >/dev/null; then
+      python3 scripts/validate_bench_json.py \
+        "$BUILD_DIR/campaign_${name}_w1/CAMPAIGN_$name.json"
+    fi
+  done
   # The self-contained HTML report (mirrors the CI report step).
   if command -v python3 >/dev/null; then
     python3 scripts/campaign_report.py \

@@ -1,6 +1,7 @@
 #include "common/quantile.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -19,92 +20,6 @@ double ExactQuantile::Quantile(double q) {
   auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(rank - 1);
   std::nth_element(samples_.begin(), nth, samples_.end());
   return *nth;
-}
-
-P2Quantile::P2Quantile(double quantile) : quantile_(quantile) {
-  CLOVER_CHECK(quantile > 0.0 && quantile < 1.0);
-  buffer_.reserve(kExactThreshold);
-}
-
-void P2Quantile::Reset() {
-  count_ = 0;
-  buffer_.clear();
-  markers_ready_ = false;
-}
-
-void P2Quantile::InitializeMarkers() {
-  // Seed the five markers from the buffered samples: min, the three
-  // quartile-ish markers around the target quantile, and max — per the P²
-  // paper, using the empirical quantiles of the buffer.
-  std::sort(buffer_.begin(), buffer_.end());
-  const double n = static_cast<double>(buffer_.size());
-  auto at_fraction = [&](double f) {
-    std::size_t idx = static_cast<std::size_t>(f * (n - 1.0) + 0.5);
-    return buffer_[std::min(idx, buffer_.size() - 1)];
-  };
-  const double p = quantile_;
-  heights_ = {buffer_.front(), at_fraction(p / 2.0), at_fraction(p),
-              at_fraction((1.0 + p) / 2.0), buffer_.back()};
-  positions_ = {1.0, 1.0 + (n - 1.0) * p / 2.0, 1.0 + (n - 1.0) * p,
-                1.0 + (n - 1.0) * (1.0 + p) / 2.0, n};
-  desired_ = positions_;
-  increments_ = {0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0};
-  markers_ready_ = true;
-}
-
-void P2Quantile::Add(double x) {
-  ++count_;
-  if (!markers_ready_) {
-    buffer_.push_back(x);
-    if (buffer_.size() >= kExactThreshold) InitializeMarkers();
-    return;
-  }
-
-  // Locate the cell containing x and clamp the extreme markers.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[static_cast<std::size_t>(k) + 1]) ++k;
-  }
-
-  for (int i = k + 1; i < 5; ++i) positions_[static_cast<std::size_t>(i)] += 1.0;
-  for (int i = 0; i < 5; ++i)
-    desired_[static_cast<std::size_t>(i)] += increments_[static_cast<std::size_t>(i)];
-
-  // Adjust interior markers with the piecewise-parabolic (P²) update,
-  // falling back to linear interpolation when the parabola would cross a
-  // neighbouring marker.
-  for (std::size_t i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double right_gap = positions_[i + 1] - positions_[i];
-    const double left_gap = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0)) {
-      const double sign = d >= 0 ? 1.0 : -1.0;
-      const double np = positions_[i];
-      const double hp = heights_[i];
-      // Parabolic prediction.
-      const double parabolic =
-          hp + sign / (positions_[i + 1] - positions_[i - 1]) *
-                   ((np - positions_[i - 1] + sign) *
-                        (heights_[i + 1] - hp) / right_gap +
-                    (positions_[i + 1] - np - sign) *
-                        (hp - heights_[i - 1]) / (np - positions_[i - 1]));
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-        heights_[i] = parabolic;
-      } else {
-        // Linear fallback toward the neighbour in the direction of travel.
-        const std::size_t j = sign > 0 ? i + 1 : i - 1;
-        heights_[i] = hp + sign * (heights_[j] - hp) / (positions_[j] - np);
-      }
-      positions_[i] += sign;
-    }
-  }
 }
 
 // kDecades is a hand-written constant (std::log10 is not constexpr on all
@@ -252,22 +167,6 @@ double LogHistogramQuantile::Quantile(double q) const {
 void LogHistogramQuantile::Reset() {
   std::fill(bins_.begin(), bins_.end(), 0);
   count_ = 0;
-}
-
-double P2Quantile::Value() {
-  if (count_ == 0) return 0.0;
-  if (!markers_ready_) {
-    // Exact nearest-rank over the buffer, sorted in place (no per-query
-    // allocation; ordering does not matter to later Adds or marker init).
-    std::sort(buffer_.begin(), buffer_.end());
-    const std::size_t n = buffer_.size();
-    std::size_t rank =
-        static_cast<std::size_t>(std::ceil(quantile_ * static_cast<double>(n)));
-    if (rank == 0) rank = 1;
-    if (rank > n) rank = n;
-    return buffer_[rank - 1];
-  }
-  return heights_[2];
 }
 
 }  // namespace clover

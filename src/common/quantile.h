@@ -1,40 +1,29 @@
-// Online quantile estimation.
-//
-// The evaluation runs track p95 tail latency over 48 simulated hours at a
-// few hundred requests/second; storing every sample would cost hundreds of
-// MB. P2Quantile implements the Jain & Chlamtac P² algorithm: O(1) memory,
-// one marker update per observation, with accuracy well within the noise of
-// the simulation. For small sample counts (short measurement windows during
-// optimization) it falls back to the exact order statistic over the first
-// kExactThreshold samples it has buffered.
+// Quantile estimation.
 //
 // LogHistogramQuantile is the estimator for run-level (multi-hour)
-// latencies: P² markers can be permanently distorted by a nonstationary
-// prefix (e.g. a reconfiguration storm during the first optimization
-// invocation), while a histogram is insensitive to ordering and accurate to
-// its bin width everywhere.
+// latencies: the evaluation runs track p95 tail latency over 48 simulated
+// hours at a few hundred requests/second, and storing every sample would
+// cost hundreds of MB. A histogram is O(1) per update, insensitive to
+// ordering (a nonstationary prefix such as a reconfiguration storm cannot
+// distort it) and accurate to its bin width everywhere.
 //
-// ExactQuantile keeps all samples and is used by tests as the ground truth.
+// ExactQuantile keeps all samples; the tests use it as ground truth.
 //
 // Allocation behaviour (the simulator calls Add once per completion, so
-// this is a hot path): P2Quantile and LogHistogramQuantile never allocate
-// after construction — the P² exact-mode buffer is reserved up front and
-// queries sort it in place instead of copying. ExactQuantile grows its
-// sample vector; Reserve() amortizes that for callers that know their
-// request volume (serving/runtime.cc).
+// this is a hot path): LogHistogramQuantile never allocates after
+// construction. ExactQuantile grows its sample vector; Reserve() pre-sizes
+// it.
 //
-// Thread-safety: none of these estimators synchronize; each accumulator is
-// owned by exactly one simulator or runtime and protected by its owner.
-// Queries are NOT logically const across the board: ExactQuantile::Quantile
-// and P2Quantile::Value reorder their sample buffers in place (nth_element/
-// sort), so they are deliberately non-const — a shared estimator must not
-// be queried concurrently, and the signature now says so. The sharded-sim
+// Thread-safety: neither estimator synchronizes; each accumulator is owned
+// by exactly one simulator or runtime and protected by its owner.
+// ExactQuantile::Quantile reorders its sample buffer in place
+// (nth_element), so it is deliberately non-const — a shared estimator must
+// not be queried concurrently, and the signature says so. The sharded-sim
 // merge (sim/sharded_sim.h) relies on this: shard accumulators are only
 // read serially, after the epoch barrier. LogHistogramQuantile::Quantile
 // is a pure read and stays const.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -51,50 +40,15 @@ class ExactQuantile {
   void Reserve(std::size_t capacity) { samples_.reserve(capacity); }
 
   // Quantile q in [0,1] using the nearest-rank method (ceil(q*n)-th order
-  // statistic), the same definition the P² fallback uses. Returns 0 when
-  // empty. Non-const: partially sorts the sample vector in place, so
-  // concurrent queries on a shared instance race (see file comment).
+  // statistic). Returns 0 when empty. Non-const: partially sorts the
+  // sample vector in place, so concurrent queries on a shared instance race
+  // (see file comment).
   double Quantile(double q);
 
   void Reset() { samples_.clear(); }
 
  private:
   std::vector<double> samples_;
-};
-
-// P² single-quantile estimator (Jain & Chlamtac, CACM 1985).
-class P2Quantile {
- public:
-  explicit P2Quantile(double quantile);
-
-  void Add(double x);
-  std::size_t count() const { return count_; }
-
-  // Current estimate. Exact while count <= kExactThreshold; the P² marker
-  // value afterwards. Returns 0 when empty. Non-const: in exact mode the
-  // buffer is sorted in place (see file comment on thread-safety).
-  double Value();
-
-  void Reset();
-
-  // Number of buffered samples before switching to marker updates. Larger
-  // values make short windows exact at slightly higher cost.
-  static constexpr std::size_t kExactThreshold = 64;
-
- private:
-  void InitializeMarkers();
-
-  double quantile_;
-  std::size_t count_ = 0;
-  // Used while count_ <= threshold. Value() sorts it in place (insertion
-  // order is irrelevant to both Value and InitializeMarkers) instead of
-  // allocating a copy per query — which is why Value() is non-const.
-  std::vector<double> buffer_;
-  bool markers_ready_ = false;
-  std::array<double, 5> heights_{};    // marker heights q_i
-  std::array<double, 5> positions_{};  // marker positions n_i
-  std::array<double, 5> desired_{};    // desired positions n'_i
-  std::array<double, 5> increments_{}; // dn'_i per observation
 };
 
 // Order-insensitive quantile estimator over logarithmic bins.

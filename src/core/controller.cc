@@ -174,8 +174,6 @@ std::optional<OptimizationRun> Controller::Step() {
 
   CLOVER_TRACE_VSPAN("opt.invocation", run.start_s, run.end_s);
   CLOVER_OBS_COUNT("opt.invocations", 1);
-  CLOVER_OBS_COUNT("opt.evaluated", run.search.evaluations.size());
-  CLOVER_OBS_COUNT("opt.screened", run.search.screened);
   CLOVER_OBS_GAUGE("opt.best_f", run.search.best_f);
   // Control boundary: the invocation (and everything the sim did to reach
   // it) is complete, so the fold is deterministic here.

@@ -79,7 +79,7 @@ struct RunReport {
   // Host wall-clock time the harness spent on this run (simulation +
   // optimization). Per-run metadata: bench scenarios time their *scenario*
   // span with bench::WallTimer (runs may execute concurrently, so per-run
-  // walls do not sum to scenario wall); bench/timing.h surfaces the
+  // walls do not sum to scenario wall); exp::FromReports surfaces the
   // slowest run's wall in the scenario notes.
   double wall_seconds = 0.0;
   // Simulated events processed (arrivals + completions), for events/sec.

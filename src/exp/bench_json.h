@@ -1,6 +1,6 @@
 // The clover-bench-v1 performance document: one schema, one emission code
-// path, shared by every producer — the bench binaries (bench/timing.h
-// re-exports these types as clover::bench) and the campaign runner
+// path, shared by every producer — the bench binaries (bench_runner and the
+// figure benches include this header directly) and the campaign runner
 // (exp/runner.h), whose consolidated CAMPAIGN_<name>.json embeds the same
 // scenario rows plus a campaign block. scripts/validate_bench_json.py
 // validates both artifacts, and CI's baseline compare keys rows by

@@ -1,5 +1,7 @@
 #include "fleet/fleet_controller.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -60,7 +62,7 @@ void FleetController::Step(double t) {
   CLOVER_OBS_COUNT("fleet.steps", 1);
   auto step_region = [&](std::size_t i) {
     Region& region = *(*regions_)[i];
-    if (t > region.sim().now()) region.sim().AdvanceTo(t);
+    if (t > region.now()) region.AdvanceTo(t);
     // Offline regions — and online regions the router currently starves
     // (weight 0) — keep draining but do not optimize: an invocation against
     // a silenced stream measures zero completions for every candidate and
@@ -91,15 +93,16 @@ void FleetController::Rebalance(double t) {
   std::vector<RegionSnapshot> snapshots;
   snapshots.reserve(regions_->size());
   for (const auto& region : *regions_) snapshots.push_back(region->Snapshot(t));
-  weights_ = router_->Split(snapshots, total_qps_, options_.router);
-  CLOVER_CHECK_MSG(weights_.size() == regions_->size(),
-                   "router returned " << weights_.size() << " weights for "
+  std::vector<double> weights =
+      router_->Split(snapshots, total_qps_, options_.router);
+  CLOVER_CHECK_MSG(weights.size() == regions_->size(),
+                   "router returned " << weights.size() << " weights for "
                                       << regions_->size() << " regions");
   for (std::size_t i = 0; i < regions_->size(); ++i) {
-    CLOVER_CHECK_MSG(weights_[i] >= 0.0, "negative routing weight");
-    (*regions_)[i]->SetAssignedRate(weights_[i] * total_qps_);
+    CLOVER_CHECK_MSG(weights[i] >= 0.0, "negative routing weight");
+    (*regions_)[i]->SetAssignedRate(weights[i] * total_qps_);
   }
-  weight_history_.push_back(weights_);
+  weight_history_.push_back(std::move(weights));
 }
 
 std::vector<std::optional<core::ControllerSnapshot>>
@@ -109,13 +112,6 @@ FleetController::ControllerSnapshots() const {
   for (std::size_t i = 0; i < controllers_.size(); ++i)
     snapshots[i] = controllers_[i]->Snapshot();
   return snapshots;
-}
-
-double FleetController::total_optimization_seconds() const {
-  double total = 0.0;
-  for (const auto& controller : controllers_)
-    total += controller->total_optimization_seconds();
-  return total;
 }
 
 std::uint64_t FleetController::total_cache_hits() const {

@@ -2,7 +2,8 @@
 // router's rebalance, one step per control interval.
 //
 // Each step has two phases:
-//   1. Region step (parallel). Every region advances its simulator to the
+//   1. Region step (parallel). Every region advances its simulator —
+//      discrete-event or fluid, whichever backend the region holds — to the
 //      control boundary and, when the fleet runs an adaptive scheme, runs
 //      its own core::Controller invocation. Regions share no mutable state,
 //      so the steps fan out over common/thread_pool; results are folded
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -59,17 +61,17 @@ class FleetController {
   // Advances every region to `t`, runs its control step, then rebalances.
   void Step(double t);
 
-  const std::vector<double>& weights() const { return weights_; }
-  // One entry per rebalance (index 0 = the t=0 initial split).
-  const std::vector<std::vector<double>>& weight_history() const {
-    return weight_history_;
+  // Moves out the routing weights, one entry per rebalance (index 0 = the
+  // t=0 initial split). A fluid fleet's history runs to megabytes, so the
+  // report takes it rather than copying it.
+  std::vector<std::vector<double>> TakeWeightHistory() {
+    return std::move(weight_history_);
   }
 
   // Per-region controller snapshots; entries are nullopt for schemes that
   // run without a controller.
   std::vector<std::optional<core::ControllerSnapshot>> ControllerSnapshots()
       const;
-  double total_optimization_seconds() const;
   std::uint64_t total_cache_hits() const;
   const core::Controller* controller(std::size_t region_index) const;
 
@@ -86,7 +88,6 @@ class FleetController {
   std::vector<std::unique_ptr<core::Controller>> controllers_;  // may be empty
   std::shared_ptr<opt::EvalCacheStore> shared_cache_;
 
-  std::vector<double> weights_;
   std::vector<std::vector<double>> weight_history_;
 };
 

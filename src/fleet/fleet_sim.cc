@@ -2,65 +2,154 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/quantile.h"
 #include "common/units.h"
-#include "fleet/aggregate.h"
+#include "fleet/meanfield_fleet.h"
 #include "perf/calibration.h"
 #include "sim/arrivals.h"
 
 namespace clover::fleet {
 namespace {
 
-// Fills the cluster-local RunReport for one region: the same tail the
-// single-cluster harness assembles (one shared code path, so the two can
-// never drift), minus the optimization bookkeeping the fleet controller
-// owns.
-core::RunReport RegionRunReport(const FleetConfig& config,
-                                const Region& region,
-                                const opt::ObjectiveParams& params,
-                                double baseline_energy_per_request_j) {
-  core::RunReport report;
-  report.app = config.app;
-  report.scheme = config.scheme;
-  report.params = params;
-  core::FillRunReportFromSim(region.sim(), params,
-                             baseline_energy_per_request_j, &report);
-  return report;
-}
-
-}  // namespace
-
-std::vector<RegionConfig> RegionsFromPresets(
-    const std::vector<std::string>& names, int gpus_per_region) {
-  CLOVER_CHECK(!names.empty());
-  CLOVER_CHECK(gpus_per_region > 0);
-  std::vector<RegionConfig> regions;
-  regions.reserve(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const carbon::RegionPreset* preset = carbon::FindRegionPreset(names[i]);
-    CLOVER_CHECK_MSG(preset != nullptr,
-                     "unknown region preset '" << names[i] << "'");
-    RegionConfig config;
-    config.preset = *preset;
-    config.num_gpus = gpus_per_region;
-    config.latency_penalty_ms = 5.0 + 15.0 * static_cast<double>(i);
-    regions.push_back(config);
+// Fills `fleet_report->fleet` (counter/energy/carbon sums, completion-
+// weighted accuracy, merged latency quantiles, index-aligned per-window
+// series, objective series) and `fleet_report->slo_attainment` from the
+// regions and their filled reports.
+void AggregateRegions(const std::vector<std::unique_ptr<Region>>& regions,
+                      const opt::ObjectiveParams& params,
+                      double fallback_energy_per_request_j,
+                      FleetReport* fleet_report) {
+  core::RunReport& fleet = fleet_report->fleet;
+  LogHistogramQuantile merged_latency;
+  std::size_t window_count = std::numeric_limits<std::size_t>::max();
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    const core::RunReport& region = fleet_report->regions[i].report;
+    fleet.arrivals += region.arrivals;
+    fleet.completions += region.completions;
+    fleet.total_energy_j += region.total_energy_j;
+    fleet.total_carbon_g += region.total_carbon_g;
+    fleet.weighted_accuracy +=
+        region.weighted_accuracy * static_cast<double>(region.completions);
+    fleet.sim_events += region.sim_events;
+    fleet.optimization_seconds += region.optimization_seconds;
+    merged_latency.MergeShifted(regions[i]->latency_histogram(),
+                                regions[i]->latency_penalty_ms());
+    window_count = std::min(window_count, region.windows.size());
   }
-  return regions;
+  fleet.weighted_accuracy =
+      fleet.completions
+          ? fleet.weighted_accuracy / static_cast<double>(fleet.completions)
+          : 0.0;
+  fleet.carbon_per_request_g =
+      fleet.completions
+          ? fleet.total_carbon_g / static_cast<double>(fleet.completions)
+          : 0.0;
+  fleet.overall_p50_ms = merged_latency.Quantile(0.50);
+  fleet.overall_p95_ms = merged_latency.Quantile(0.95);
+  fleet.overall_p99_ms = merged_latency.Quantile(0.99);
+
+  // Fleet windows: index-aligned aggregation (regions close windows on the
+  // same control-interval boundaries). The window p95 approximates the
+  // merged distribution by one point mass per region at its p95 (plus its
+  // network penalty): walking the masses from slowest down, the 95th
+  // percentile is the first value with more than 5% of the completions at
+  // or above it. This handles both failure modes of simpler rules — a
+  // 3-request region cannot claim the fleet tail (a plain max would), yet
+  // several small slow regions whose combined mass straddles the 95% rank
+  // still do. max_ms stays the true maximum.
+  std::uint64_t slo_windows = 0, counted_windows = 0;
+  std::vector<std::pair<double, std::uint64_t>> tail_masses;  // (value, n)
+  for (std::size_t w = 0; w < window_count; ++w) {
+    sim::WindowRecord window;
+    double mean_weighted = 0.0, accuracy_weighted = 0.0, ci_energy = 0.0;
+    tail_masses.clear();
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      const sim::WindowRecord& region_window =
+          fleet_report->regions[i].report.windows[w];
+      // Penalty as of this window's start: an active RTT spike shifts the
+      // window's latency contribution (the run-level merged histogram keeps
+      // the base penalty — spikes are windowed events, run quantiles are a
+      // whole-run summary).
+      const double penalty =
+          regions[i]->LatencyPenaltyAt(region_window.start_s);
+      window.start_s = region_window.start_s;
+      window.duration_s = region_window.duration_s;
+      window.arrivals += region_window.arrivals;
+      window.completions += region_window.completions;
+      window.energy_j += region_window.energy_j;
+      window.carbon_g += region_window.carbon_g;
+      if (region_window.completions > 0) {
+        tail_masses.emplace_back(region_window.p95_ms + penalty,
+                                 region_window.completions);
+        window.max_ms = std::max(window.max_ms,
+                                 region_window.max_ms + penalty);
+        mean_weighted += (region_window.mean_ms + penalty) *
+                         static_cast<double>(region_window.completions);
+        accuracy_weighted += region_window.weighted_accuracy *
+                             static_cast<double>(region_window.completions);
+      }
+      ci_energy += region_window.ci * region_window.energy_j;
+    }
+    std::sort(tail_masses.begin(), tail_masses.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    std::uint64_t mass_above = 0;
+    for (const auto& [value, count] : tail_masses) {
+      mass_above += count;
+      if (static_cast<double>(mass_above) >
+          0.05 * static_cast<double>(window.completions)) {
+        window.p95_ms = value;
+        break;
+      }
+    }
+    window.mean_ms = window.completions
+                         ? mean_weighted /
+                               static_cast<double>(window.completions)
+                         : 0.0;
+    window.weighted_accuracy =
+        window.completions ? accuracy_weighted /
+                                 static_cast<double>(window.completions)
+                           : 0.0;
+    // Blended intensity: energy-weighted mean over regions.
+    window.ci = window.energy_j > 0.0 ? ci_energy / window.energy_j : 0.0;
+    if (window.completions > 0) {
+      ++counted_windows;
+      if (window.p95_ms <= fleet_report->slo_budget_ms) ++slo_windows;
+    }
+    fleet.windows.push_back(window);
+
+    opt::EvalMetrics metrics;
+    metrics.accuracy = window.weighted_accuracy;
+    metrics.energy_per_request_j =
+        window.completions
+            ? window.energy_j / static_cast<double>(window.completions)
+            : fallback_energy_per_request_j;
+    metrics.p95_ms = window.p95_ms;
+    fleet.objective_series.push_back(
+        opt::ObjectiveF(metrics, params, window.ci));
+  }
+  fleet_report->slo_attainment =
+      counted_windows ? static_cast<double>(slo_windows) /
+                            static_cast<double>(counted_windows)
+                      : 0.0;
 }
 
-FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
+// The fleet run over regions of one backend: calibration, region setup,
+// the control loop and report assembly, shared by both fidelity tiers.
+FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
+                       Region::Backend backend) {
   CLOVER_CHECK_MSG(!config.regions.empty(), "fleet needs >= 1 region");
   CLOVER_CHECK(config.duration_hours > 0.0);
   CLOVER_CHECK(config.control_interval_s > 0.0);
   const auto wall_start = std::chrono::steady_clock::now();
 
   // Shared SLA/baseline calibration, anchored on the first region's fleet
-  // size (the paper's sizing rule; fleet regions are normally uniform).
+  // size (the paper's sizing rule; fleet regions are normally uniform). It
+  // is the discrete-event BASE run on both tiers, so fluid fleets are
+  // judged against the same yardstick.
   core::ExperimentHarness harness(&zoo);
   const core::BaselineCalibration& calibration =
       harness.Calibrate(config.app, config.regions[0].num_gpus,
@@ -110,7 +199,8 @@ FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
                                       region_config.faults.trace_dropouts);
     regions.push_back(std::make_unique<Region>(
         region_config, &zoo, std::move(trace),
-        serving::MakeBase(config.app, region_config.num_gpus), sim_options));
+        serving::MakeBase(config.app, region_config.num_gpus), sim_options,
+        backend));
   }
 
   std::unique_ptr<Router> router = MakeRouter(config.router);
@@ -135,14 +225,14 @@ FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
        t += config.control_interval_s)
     fleet_controller.Step(std::min(t, duration_s));
   for (auto& region : regions)
-    if (duration_s > region->sim().now()) region->sim().AdvanceTo(duration_s);
+    if (duration_s > region->now()) region->AdvanceTo(duration_s);
 
   // ---- Reports ----
   FleetReport fleet_report;
   fleet_report.router_name = router->name();
   fleet_report.total_qps = total_qps;
   fleet_report.slo_budget_ms = controller_options.router.slo_budget_ms;
-  fleet_report.weight_history = fleet_controller.weight_history();
+  fleet_report.weight_history = fleet_controller.TakeWeightHistory();
 
   const auto controller_snapshots = fleet_controller.ControllerSnapshots();
   std::vector<double> mean_weights(regions.size(), 0.0);
@@ -157,43 +247,34 @@ FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
     region_report.name = regions[i]->name();
     region_report.latency_penalty_ms = regions[i]->latency_penalty_ms();
     region_report.mean_weight = mean_weights[i];
-    region_report.report = RegionRunReport(
-        config, *regions[i], params, calibration.energy_per_request_j);
-    region_report.report.arrival_rate_qps = mean_weights[i] * total_qps;
+    // Cluster-local: the same tail the single-cluster harness assembles,
+    // minus the optimization bookkeeping the fleet controller owns.
+    core::RunReport& report = region_report.report;
+    report.app = config.app;
+    report.scheme = config.scheme;
+    report.params = params;
+    regions[i]->FillReport(params, calibration.energy_per_request_j, &report);
+    report.arrival_rate_qps = mean_weights[i] * total_qps;
     if (const core::Controller* controller = fleet_controller.controller(i)) {
-      region_report.report.optimizations = controller->history();
-      region_report.report.optimization_seconds =
-          controller->total_optimization_seconds();
+      report.optimizations = controller->history();
+      report.optimization_seconds = controller->total_optimization_seconds();
       // Store-scoped: with share_eval_cache this is the fleet-wide count
       // (every region reads the one shared store), same as the snapshot.
-      region_report.report.cache_hits = controller->cache_hits();
+      report.cache_hits = controller->cache_hits();
     }
     region_report.controller = controller_snapshots[i];
     fleet_report.regions.push_back(std::move(region_report));
   }
 
   // Fleet aggregate: sums over regions; latency from the merged per-region
-  // distributions, each shifted by its network penalty. The arithmetic
-  // lives in fleet/aggregate.h so the mean-field fast path reuses it.
+  // distributions, each shifted by its network penalty.
   core::RunReport& fleet = fleet_report.fleet;
   fleet.app = config.app;
   fleet.scheme = config.scheme;
   fleet.arrival_rate_qps = total_qps;
   fleet.params = params;
-  std::vector<RegionAggregateView> views;
-  views.reserve(regions.size());
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    RegionAggregateView view;
-    view.report = &fleet_report.regions[i].report;
-    view.latency_histogram = &regions[i]->sim().latency_histogram();
-    view.base_penalty_ms = regions[i]->latency_penalty_ms();
-    view.penalty_at = [region = regions[i].get()](double start_s) {
-      return region->LatencyPenaltyAt(start_s);
-    };
-    views.push_back(std::move(view));
-  }
-  AggregateFleetReport(views, params, calibration.energy_per_request_j,
-                       &fleet_report);
+  AggregateRegions(regions, params, calibration.energy_per_request_j,
+                   &fleet_report);
   // Not summed from the regions: with a shared store every controller
   // reports the store-wide counter, and summing would multiply it by N.
   fleet.cache_hits = fleet_controller.total_cache_hits();
@@ -203,6 +284,43 @@ FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
                                     wall_start)
           .count();
   return fleet_report;
+}
+
+}  // namespace
+
+std::vector<RegionConfig> RegionsFromPresets(
+    const std::vector<std::string>& names, int gpus_per_region) {
+  CLOVER_CHECK(!names.empty());
+  CLOVER_CHECK(gpus_per_region > 0);
+  std::vector<RegionConfig> regions;
+  regions.reserve(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const carbon::RegionPreset* preset = carbon::FindRegionPreset(names[i]);
+    CLOVER_CHECK_MSG(preset != nullptr,
+                     "unknown region preset '" << names[i] << "'");
+    RegionConfig config;
+    config.preset = *preset;
+    config.num_gpus = gpus_per_region;
+    config.latency_penalty_ms = 5.0 + 15.0 * static_cast<double>(i);
+    regions.push_back(config);
+  }
+  return regions;
+}
+
+FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
+  return RunFleetOn(config, zoo, Region::Backend::kDiscreteEvent);
+}
+
+FleetReport RunFleetMeanField(const FleetConfig& config,
+                              const models::ModelZoo& zoo) {
+  CLOVER_CHECK_MSG(config.scheme == core::Scheme::kBase,
+                   "mean-field fleet runs static schemes only (adaptive "
+                   "schemes need the per-region controller, whose "
+                   "evaluations are discrete-event runs)");
+  for (const RegionConfig& region : config.regions)
+    CLOVER_CHECK_MSG(region.faults.Empty(),
+                     "mean-field fleet does not model region faults");
+  return RunFleetOn(config, zoo, Region::Backend::kMeanField);
 }
 
 bool FleetReportsBitIdentical(const FleetReport& a, const FleetReport& b) {

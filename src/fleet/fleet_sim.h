@@ -7,7 +7,8 @@
 // carbon trace from the region preset), drives the control loop — regions
 // stepped in parallel, router rebalanced every control interval — and
 // aggregates per-region results into a fleet-level core::RunReport whose
-// latency metrics include each region's network penalty.
+// latency metrics include each region's network penalty. RunFleetMeanField
+// (fleet/meanfield_fleet.h) is the same run over fluid regions.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,14 @@
 // One regional cluster of the geo-distributed fleet.
 //
 // A Region bundles what the paper's single-cluster pipeline keeps global:
-// a discrete-event cluster simulator, the region's own carbon-intensity
-// trace, its fleet size, and the network latency penalty from the global
-// ingress. The fleet controller steps regions independently (they share no
-// mutable state), and the router decides how much of the global stream each
-// region is offered.
+// a simulator, the region's own carbon-intensity trace, its fleet size, and
+// the network latency penalty from the global ingress. The simulator is one
+// of two backends — the discrete-event sim::ClusterSim (the reference tier)
+// or the fluid sim::MeanFieldSim (planet-scale campaigns) — behind the one
+// seam the fleet loop drives: now / AdvanceTo / SetAssignedRate / Snapshot /
+// FillReport / latency_histogram. The fleet controller steps regions
+// independently (they share no mutable state), and the router decides how
+// much of the global stream each region is offered.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +17,13 @@
 
 #include "carbon/trace.h"
 #include "carbon/trace_generator.h"
+#include "common/quantile.h"
+#include "core/harness.h"
 #include "fleet/router.h"
 #include "models/zoo.h"
 #include "serving/deployment.h"
 #include "sim/cluster_sim.h"
+#include "sim/meanfield.h"
 
 namespace clover::fleet {
 
@@ -50,17 +56,19 @@ std::uint64_t RegionSeed(std::uint64_t fleet_seed, std::size_t region_index);
 // trace), so regions are pinned to the heap — no copy, no move.
 class Region {
  public:
+  enum class Backend { kDiscreteEvent, kMeanField };
+
   Region(const RegionConfig& config, const models::ModelZoo* zoo,
          carbon::CarbonTrace trace, serving::Deployment initial,
-         const sim::SimOptions& sim_options);
+         const sim::SimOptions& sim_options, Backend backend);
   Region(const Region&) = delete;
   Region& operator=(const Region&) = delete;
 
   const std::string& name() const { return config_.preset.name; }
-  const RegionConfig& config() const { return config_; }
   const carbon::CarbonTrace& trace() const { return trace_; }
-  sim::ClusterSim& sim() { return *sim_; }
-  const sim::ClusterSim& sim() const { return *sim_; }
+  // The discrete-event simulator, for the per-region controller that
+  // optimizes it. CheckError on a mean-field region.
+  sim::ClusterSim& sim();
   int num_gpus() const { return config_.num_gpus; }
   double latency_penalty_ms() const { return config_.latency_penalty_ms; }
   // Base penalty plus any RTT spike active at `t`.
@@ -71,21 +79,31 @@ class Region {
            t >= config_.outage_end_s;
   }
 
-  double assigned_qps() const { return assigned_qps_; }
-  // Offers `qps` of the global stream to this region from sim-now onward.
-  void SetAssignedRate(double qps);
+  double now() const;
+  void AdvanceTo(double t);
 
-  // Nominal capacity of the currently deployed configuration.
-  double CapacityQps() const;
+  double assigned_qps() const { return assigned_qps_; }
+  // Offers `qps` of the global stream to this region from now() onward.
+  void SetAssignedRate(double qps);
 
   // Router-visible state at control time `t`.
   RegionSnapshot Snapshot(double t) const;
+
+  // The simulator-derived tail of the region's cluster-local report
+  // (core::FillRunReportFromSim).
+  void FillReport(const opt::ObjectiveParams& params,
+                  double fallback_energy_per_request_j,
+                  core::RunReport* report) const;
+  // Run-level latency distribution, excluding the network penalty.
+  const LogHistogramQuantile& latency_histogram() const;
 
  private:
   RegionConfig config_;
   const models::ModelZoo* zoo_;
   carbon::CarbonTrace trace_;
-  std::unique_ptr<sim::ClusterSim> sim_;
+  // Exactly one backend is set.
+  std::unique_ptr<sim::ClusterSim> cluster_;
+  std::unique_ptr<sim::MeanFieldSim> fluid_;
   double assigned_qps_ = 0.0;
 };
 

@@ -293,6 +293,7 @@ SearchResult SimulatedAnnealing::Run(
                            static_cast<std::size_t>(round));
       result.screened +=
           static_cast<int>(proposals.size() - survivors.size());
+      CLOVER_OBS_COUNT("opt.screened", proposals.size() - survivors.size());
       std::vector<graph::ConfigGraph> kept;
       kept.reserve(survivors.size());
       for (std::size_t index : survivors)
@@ -311,6 +312,7 @@ SearchResult SimulatedAnnealing::Run(
   }
 
   CLOVER_CHECK(tracker.has_any);
+  CLOVER_OBS_COUNT("opt.evaluated", result.evaluations.size());
   result.best = tracker.best;
   result.best_metrics = tracker.best_metrics;
   result.best_f = tracker.best_f;

@@ -1,14 +1,9 @@
 #include "opt/evaluator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/check.h"
-#include "common/units.h"
-#include "perf/calibration.h"
-#include "perf/perf_model.h"
-#include "power/power_model.h"
 
 namespace clover::opt {
 
@@ -171,104 +166,6 @@ std::vector<EvalOutcome> ParallelBatchEvaluator::EvaluateBatch(
         replicas_[static_cast<std::size_t>(slot)]->Evaluate(graphs[index]);
   });
   return outcomes;
-}
-
-AnalyticEvaluator::AnalyticEvaluator(const models::ModelZoo* zoo,
-                                     int num_gpus, double arrival_rate_qps,
-                                     double l_tail_ms)
-    : zoo_(zoo),
-      num_gpus_(num_gpus),
-      arrival_rate_qps_(arrival_rate_qps),
-      l_tail_ms_(l_tail_ms) {
-  CLOVER_CHECK(zoo_ != nullptr);
-  CLOVER_CHECK(num_gpus_ > 0 && arrival_rate_qps_ > 0.0);
-}
-
-EvalOutcome AnalyticEvaluator::Evaluate(const graph::ConfigGraph& graph) {
-  const models::ModelFamily& family = zoo_->ForApplication(graph.app());
-
-  struct Server {
-    double rate_qps;
-    double latency_ms;
-    double accuracy;
-    double dynamic_watts;
-    double load_qps = 0.0;
-  };
-  std::vector<Server> servers;
-  for (int v = 0; v < graph.num_variants(); ++v) {
-    const models::ModelVariant& variant = family.Variant(v);
-    for (mig::SliceType slice : mig::kAllSliceTypes) {
-      const int count = graph.Weight(v, slice);
-      if (count == 0) continue;
-      const double latency_ms =
-          perf::PerfModel::LatencyMs(family, variant, slice);
-      for (int k = 0; k < count; ++k)
-        servers.push_back(Server{1e3 / latency_ms, latency_ms,
-                                 variant.accuracy,
-                                 power::PowerModel::DynamicWatts(variant,
-                                                                 slice)});
-    }
-  }
-  CLOVER_CHECK(!servers.empty());
-
-  // Accuracy-greedy dispatch => saturation cascade by accuracy priority.
-  std::sort(servers.begin(), servers.end(),
-            [](const Server& a, const Server& b) {
-              if (a.accuracy != b.accuracy) return a.accuracy > b.accuracy;
-              return a.latency_ms < b.latency_ms;
-            });
-  double remaining = arrival_rate_qps_;
-  double total_rate = 0.0;
-  for (Server& server : servers) {
-    server.load_qps = std::min(remaining, server.rate_qps);
-    remaining -= server.load_qps;
-    total_rate += server.rate_qps;
-  }
-
-  EvalOutcome outcome;
-  if (remaining > 1e-9) {
-    // Overloaded: the queue grows without bound.
-    outcome.metrics.accuracy = 0.0;
-    outcome.metrics.p95_ms = 1e6;
-    outcome.metrics.energy_per_request_j = 1e9;
-    outcome.sla_ok = false;
-    return outcome;
-  }
-
-  double accuracy_sum = 0.0;
-  double dynamic_watts = 0.0;
-  for (const Server& server : servers) {
-    accuracy_sum += server.load_qps * server.accuracy;
-    dynamic_watts += (server.load_qps / server.rate_qps) *
-                     server.dynamic_watts;
-  }
-  outcome.metrics.accuracy = accuracy_sum / arrival_rate_qps_;
-  const double total_watts =
-      power::PowerModel::StaticWattsPerGpu() * num_gpus_ + dynamic_watts;
-  outcome.metrics.energy_per_request_j = total_watts / arrival_rate_qps_;
-
-  // p95 of the serving mix: request-weighted service-latency quantile with
-  // jitter headroom, inflated by an M/G/m-style congestion factor.
-  std::vector<std::pair<double, double>> latency_share;  // (latency, load)
-  for (const Server& server : servers)
-    if (server.load_qps > 0.0)
-      latency_share.emplace_back(server.latency_ms, server.load_qps);
-  std::sort(latency_share.begin(), latency_share.end());
-  double cumulative = 0.0;
-  double p95_service = latency_share.back().first;
-  for (const auto& [latency, load] : latency_share) {
-    cumulative += load;
-    if (cumulative >= 0.95 * arrival_rate_qps_) {
-      p95_service = latency;
-      break;
-    }
-  }
-  const double rho = arrival_rate_qps_ / total_rate;
-  const double jitter_headroom = 1.0 + 1.64 * perf::kServiceJitterSigma;
-  const double congestion = 1.0 + 0.5 * rho * rho / std::max(1e-3, 1.0 - rho);
-  outcome.metrics.p95_ms = p95_service * jitter_headroom * congestion;
-  outcome.sla_ok = outcome.metrics.p95_ms <= l_tail_ms_;
-  return outcome;
 }
 
 }  // namespace clover::opt

@@ -9,18 +9,18 @@
 //   SimEvaluator      deploy + measure on the live ClusterSim
 //   CachingEvaluator  wraps another evaluator with a graph-keyed cache —
 //                     revisited graphs are "saved" evaluations (Fig. 12b)
-//   AnalyticEvaluator closed-form steady-state estimate; used by tests and
-//                     available for offline what-if analysis
 //   ReplayEvaluator   deploys the candidate on a private warm cluster
 //                     replica — side-effect-free, so batches of candidates
 //                     can be evaluated concurrently
+//
+// The closed-form steady-state estimate lives in opt/surrogate.h.
 //
 // Batch evaluation: the searches (random_search.h, annealing.h) consume
 // candidates through the BatchEvaluator interface. SerialBatchEvaluator
 // adapts any Evaluator; ParallelBatchEvaluator fans a batch out over a
 // thread pool with one evaluator replica per pool slot. Parallel batches
 // require *pure* replicas — Evaluate must be a function of the graph alone
-// (ReplayEvaluator and AnalyticEvaluator qualify; SimEvaluator does NOT:
+// (ReplayEvaluator and SurrogateEvaluator qualify; SimEvaluator does NOT:
 // it mutates the shared production simulator, which is exactly why the
 // online control loop stays serial). Under that contract results are
 // bit-identical for every thread count (see docs/ARCHITECTURE.md).
@@ -225,25 +225,6 @@ class ParallelBatchEvaluator : public BatchEvaluator {
  private:
   ThreadPool* pool_;
   std::vector<std::unique_ptr<Evaluator>> replicas_;
-};
-
-// Closed-form steady-state estimate of a configuration's metrics under
-// accuracy-greedy dispatch: high-accuracy instances saturate first, the
-// remainder spills to lower-accuracy instances; energy is static power plus
-// busy-time dynamic power; p95 approximates the latency distribution of the
-// serving mix with an M/G/m-style queueing inflation near saturation.
-class AnalyticEvaluator : public Evaluator {
- public:
-  AnalyticEvaluator(const models::ModelZoo* zoo, int num_gpus,
-                    double arrival_rate_qps, double l_tail_ms);
-
-  EvalOutcome Evaluate(const graph::ConfigGraph& graph) override;
-
- private:
-  const models::ModelZoo* zoo_;
-  int num_gpus_;
-  double arrival_rate_qps_;
-  double l_tail_ms_;
 };
 
 }  // namespace clover::opt

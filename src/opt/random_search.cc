@@ -129,6 +129,7 @@ SearchResult RandomSearch::Run(const graph::ConfigGraph& start,
                            static_cast<std::size_t>(round));
       result.screened +=
           static_cast<int>(candidates.size() - survivors.size());
+      CLOVER_OBS_COUNT("opt.screened", candidates.size() - survivors.size());
       std::vector<graph::ConfigGraph> kept;
       kept.reserve(survivors.size());
       for (std::size_t index : survivors)
@@ -148,6 +149,7 @@ SearchResult RandomSearch::Run(const graph::ConfigGraph& start,
       consecutive_no_improve = improved ? 0 : consecutive_no_improve + 1;
     }
   }
+  CLOVER_OBS_COUNT("opt.evaluated", result.evaluations.size());
   return result;
 }
 

@@ -12,15 +12,6 @@
 
 namespace clover::opt {
 
-double SurrogateEvaluator::MmcSojournQuantile(
-    const sim::analytic::MmcConfig& config, double q) {
-  // The closed-form CCDF bisection lives with the other queueing oracles in
-  // sim/analytic so the mean-field fidelity tier (sim/meanfield.h) can quote
-  // the same p95 without a dependency on opt/. This wrapper keeps the
-  // historical API (and its tests) stable.
-  return sim::analytic::MmcSojournQuantile(config, q);
-}
-
 SurrogateEvaluator::Options SurrogateEvaluator::FromReplay(
     const ReplayEvaluator::Options& replay, sim::ServiceModel service_model,
     double service_jitter_sigma) {
@@ -67,8 +58,8 @@ EvalOutcome SurrogateEvaluator::Evaluate(const graph::ConfigGraph& graph) {
   }
   CLOVER_CHECK(!servers.empty());
 
-  // Saturation cascade under accuracy-greedy dispatch, exactly as
-  // AnalyticEvaluator: high-accuracy instances fill first.
+  // Saturation cascade under accuracy-greedy dispatch: high-accuracy
+  // instances fill first.
   std::sort(servers.begin(), servers.end(),
             [](const Server& a, const Server& b) {
               if (a.accuracy != b.accuracy) return a.accuracy > b.accuracy;
@@ -84,8 +75,8 @@ EvalOutcome SurrogateEvaluator::Evaluate(const graph::ConfigGraph& graph) {
 
   EvalOutcome outcome;
   if (remaining > 1e-9 || lambda >= total_rate) {
-    // Overloaded: unbounded queue. Same sentinel as AnalyticEvaluator, so
-    // infeasible candidates rank last in any screen.
+    // Overloaded: unbounded queue. The sentinel makes infeasible
+    // candidates rank last in any screen.
     outcome.metrics.accuracy = 0.0;
     outcome.metrics.p95_ms = 1e6;
     outcome.metrics.energy_per_request_j = 1e9;
@@ -113,7 +104,8 @@ EvalOutcome SurrogateEvaluator::Evaluate(const graph::ConfigGraph& graph) {
   mmc.servers = static_cast<int>(servers.size());
 
   if (options_.service_model == sim::ServiceModel::kExponential) {
-    outcome.metrics.p95_ms = SecondsToMs(MmcSojournQuantile(mmc, 0.95));
+    outcome.metrics.p95_ms =
+        SecondsToMs(sim::analytic::MmcSojournQuantile(mmc, 0.95));
   } else {
     // Near-deterministic service: the tail is the service mix's own p95
     // (with truncated-Gaussian jitter headroom) plus queueing delay. The

@@ -8,10 +8,10 @@
 // the surrogate ranks a screen_factor-times larger candidate pool, and only
 // the top slice pays for a simulation.
 //
-// The recipe shares AnalyticEvaluator's saturation-cascade model for
-// accuracy and energy (accuracy-greedy dispatch: high-accuracy instances
-// saturate first), but replaces its ad-hoc congestion factor with the
-// M/M/c oracles of sim/analytic.h for the latency tail:
+// Accuracy and energy come from a saturation cascade (accuracy-greedy
+// dispatch: high-accuracy instances saturate first, the remainder spills to
+// lower-accuracy ones; energy is static power plus busy-time dynamic
+// power). The latency tail comes from the M/M/c oracles of sim/analytic.h:
 //
 //   * The fleet is collapsed to an equivalent M/M/c: c = instance count,
 //     mu_eff = total service rate / c. For a uniform fleet under
@@ -29,7 +29,7 @@
 // Heterogeneous fleets make the collapse an approximation; the surrogate is
 // a *ranking* tier, and misranked borderline candidates merely cost one
 // extra simulation. Overload (offered rate above total capacity) returns
-// the same sentinel outcome as AnalyticEvaluator so screened-out candidates
+// a sentinel outcome (zero accuracy, 1e6 ms p95) so screened-out candidates
 // sort last. Evaluate is pure (a function of the graph alone), so the
 // surrogate composes with every batch strategy and never perturbs
 // determinism contracts.
@@ -59,11 +59,6 @@ class SurrogateEvaluator : public Evaluator {
                      const Options& options);
 
   EvalOutcome Evaluate(const graph::ConfigGraph& graph) override;
-
-  // Smallest t with P(Wq + S <= t) >= q for a stable M/M/c queue
-  // (exponential service). Exposed for the differential test; seconds.
-  static double MmcSojournQuantile(const sim::analytic::MmcConfig& config,
-                                   double q);
 
   // Matches the surrogate to the replay tier it screens for, so the two
   // fidelity tiers agree on workload, SLA and service model.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -11,7 +10,10 @@
 #include "sim/analytic.h"
 
 namespace clover::sim {
+namespace {
 
+// Collapses a Deployment into mean-field server classes, sorted in the
+// simulator's dispatch order (accuracy desc, then service time asc).
 std::vector<MeanFieldClass> CollapseDeployment(
     const serving::Deployment& deployment, const models::ModelZoo& zoo) {
   const models::ModelFamily& family = zoo.ForApplication(deployment.app);
@@ -45,25 +47,17 @@ std::vector<MeanFieldClass> CollapseDeployment(
   return classes;
 }
 
+}  // namespace
+
 MeanFieldSim::MeanFieldSim(const serving::Deployment& initial,
                            const models::ModelZoo& zoo,
                            const carbon::CarbonTrace* trace,
                            const SimOptions& options)
     : classes_(CollapseDeployment(initial, zoo)),
       num_gpus_(initial.NumGpus()),
-      trace_(trace) {
-  Initialize(options);
-}
-
-MeanFieldSim::MeanFieldSim(std::vector<MeanFieldClass> classes, int num_gpus,
-                           const carbon::CarbonTrace* trace,
-                           const SimOptions& options)
-    : classes_(std::move(classes)), num_gpus_(num_gpus), trace_(trace) {
-  Initialize(options);
-}
-
-void MeanFieldSim::Initialize(const SimOptions& options) {
-  options_ = options;
+      trace_(trace),
+      options_(options),
+      accountant_(trace, options.pue) {
   CLOVER_CHECK_MSG(!classes_.empty(), "mean-field sim needs >= 1 class");
   CLOVER_CHECK(num_gpus_ > 0);
   CLOVER_CHECK(options_.window_seconds > 0.0);
@@ -79,8 +73,6 @@ void MeanFieldSim::Initialize(const SimOptions& options) {
     total_instances_ += cls.count;
   }
   rate_qps_ = options_.arrival_rate_qps;
-  if (trace_ != nullptr)
-    accountant_.emplace(trace_, options_.pue);
 }
 
 void MeanFieldSim::SetArrivalRate(double qps) {
@@ -163,12 +155,9 @@ void MeanFieldSim::CloseWindow() {
           window_s +
       window_dynamic_j_;
   total_energy_j_ += record.energy_j;
-  if (accountant_.has_value()) {
-    record.carbon_g = accountant_->AccountWindow(window_start_,
-                                                 record.energy_j);
-    record.ci = trace_->At(window_start_);
-    total_carbon_g_ += record.carbon_g;
-  }
+  record.carbon_g = accountant_.AccountWindow(window_start_, record.energy_j);
+  record.ci = trace_->At(window_start_);
+  total_carbon_g_ += record.carbon_g;
 
   // Window latency from the aggregate M/M/c at the window's mean offered
   // rate, using the same recipes as opt/surrogate.h; overloaded windows get

@@ -10,7 +10,9 @@
 //                            window with deterministic arithmetic — no
 //                            events, no RNG. A 1000-region campaign cell
 //                            that would take hours of discrete-event
-//                            simulation completes in seconds.
+//                            simulation completes in seconds. Fleet regions
+//                            run on it through fleet::Region's backend
+//                            seam (fleet/meanfield_fleet.h).
 //   3. sim/cluster_sim.h   — full discrete-event simulation, request by
 //                            request (sharded across lanes by
 //                            sim/sharded_sim.h).
@@ -41,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "carbon/accountant.h"
@@ -66,16 +67,10 @@ class MeanFieldSim {
  public:
   // Collapses `initial` into server classes (sorted accuracy-desc then
   // latency-asc — the simulator's dispatch order) and starts the fluid
-  // clock at 0. `trace` may be null: energy is still integrated, carbon
-  // and window CI are reported as zero (the offline evaluator mode).
-  // Faults and bursts in `options` are rejected (CheckError) — the fluid
-  // tier does not model them.
+  // clock at 0. `trace` must outlive the simulator. Faults and bursts in
+  // `options` are rejected (CheckError) — the fluid tier does not model
+  // them.
   MeanFieldSim(const serving::Deployment& initial, const models::ModelZoo& zoo,
-               const carbon::CarbonTrace* trace, const SimOptions& options);
-
-  // Same, from pre-collapsed classes (the opt evaluator builds these
-  // straight from a ConfigGraph without materializing a Deployment).
-  MeanFieldSim(std::vector<MeanFieldClass> classes, int num_gpus,
                const carbon::CarbonTrace* trace, const SimOptions& options);
 
   // Advances fluid time to `t` (>= now()), integrating piecewise between
@@ -94,7 +89,6 @@ class MeanFieldSim {
   // Un-served request mass carried into the next instant (the fluid
   // analogue of ClusterSim::queue_depth()).
   double backlog() const { return backlog_; }
-  const std::vector<MeanFieldClass>& classes() const { return classes_; }
 
   const std::vector<WindowRecord>& windows() const { return windows_; }
   // Fluid window updates processed (the "sim_events" analogue for
@@ -121,7 +115,6 @@ class MeanFieldSim {
   }
 
  private:
-  void Initialize(const SimOptions& options);
   // Integrates the fluid flows over [now_, end] (no window crossing).
   void Integrate(double end);
   void CloseWindow();
@@ -130,7 +123,7 @@ class MeanFieldSim {
   int num_gpus_ = 0;
   const carbon::CarbonTrace* trace_ = nullptr;
   SimOptions options_;
-  std::optional<carbon::CarbonAccountant> accountant_;  // absent: no trace
+  carbon::CarbonAccountant accountant_;
 
   double total_rate_qps_ = 0.0;   // sum_i count_i / service_s_i
   int total_instances_ = 0;
@@ -163,10 +156,5 @@ class MeanFieldSim {
   std::vector<WindowRecord> windows_;
   LogHistogramQuantile overall_latency_;
 };
-
-// Collapses a Deployment into mean-field server classes, sorted in the
-// simulator's dispatch order (accuracy desc, then service time asc).
-std::vector<MeanFieldClass> CollapseDeployment(
-    const serving::Deployment& deployment, const models::ModelZoo& zoo);
 
 }  // namespace clover::sim

@@ -140,6 +140,36 @@ TEST(WaitQuantileTest, InvertsTheWaitDistribution) {
   }
 }
 
+TEST(SojournQuantileTest, ExactForMm1) {
+  // M/M/1 sojourn time is Exp(mu - lambda): the quantile has a closed form
+  // the bisection must reproduce to solver precision.
+  MmcConfig config;
+  config.servers = 1;
+  config.service_rate = 10.0;
+  config.arrival_rate = 7.0;
+  for (double q : {0.5, 0.9, 0.95, 0.99}) {
+    const double exact = -std::log(1.0 - q) /
+                         (config.service_rate - config.arrival_rate);
+    EXPECT_NEAR(MmcSojournQuantile(config, q), exact, 1e-9 * exact)
+        << "q=" << q;
+  }
+}
+
+TEST(SojournQuantileTest, MonotoneAndBoundedByService) {
+  MmcConfig config;
+  config.servers = 4;
+  config.service_rate = 5.0;
+  config.arrival_rate = 14.0;
+  double previous = 0.0;
+  for (double q : {0.1, 0.5, 0.9, 0.95, 0.99}) {
+    const double t = MmcSojournQuantile(config, q);
+    EXPECT_GT(t, previous);
+    // Sojourn >= service: the quantile dominates the pure-service quantile.
+    EXPECT_GE(t, -std::log(1.0 - q) / config.service_rate * 0.999);
+    previous = t;
+  }
+}
+
 TEST(MmcKTest, CapacityEqualServersIsErlangB) {
   // M/M/c/c (no queue): blocking = Erlang B, zero wait.
   MmcConfig config;

@@ -19,15 +19,12 @@ namespace {
 
 TEST(QuantileEdge, EmptyEstimatorsReturnZero) {
   ExactQuantile exact;
-  P2Quantile p2(0.95);
   LogHistogramQuantile histogram;
   for (double q : {0.0, 0.5, 0.95, 1.0}) {
     EXPECT_EQ(exact.Quantile(q), 0.0) << "q=" << q;
     EXPECT_EQ(histogram.Quantile(q), 0.0) << "q=" << q;
   }
-  EXPECT_EQ(p2.Value(), 0.0);
   EXPECT_EQ(exact.count(), 0u);
-  EXPECT_EQ(p2.count(), 0u);
   EXPECT_EQ(histogram.count(), 0u);
 }
 
@@ -36,10 +33,6 @@ TEST(QuantileEdge, SingleSampleIsEveryQuantile) {
   exact.Add(42.0);
   for (double q : {0.0, 0.25, 0.5, 0.95, 1.0})
     EXPECT_DOUBLE_EQ(exact.Quantile(q), 42.0) << "q=" << q;
-
-  P2Quantile p2(0.95);
-  p2.Add(42.0);
-  EXPECT_DOUBLE_EQ(p2.Value(), 42.0);
 
   // The log histogram is accurate to its bin width.
   LogHistogramQuantile histogram;
@@ -62,40 +55,18 @@ TEST(QuantileEdge, P0AndP100AreMinAndMax) {
   }
 }
 
-TEST(QuantileEdge, P2StaysWithinSampleRangePastExactThreshold) {
-  // Push well past the exact-fallback buffer so marker updates engage.
-  P2Quantile p2(0.95);
-  RngStream rng(123, "quantile-edge");
-  double lo = 1e300, hi = -1e300;
-  for (int i = 0; i < 10000; ++i) {
-    const double x = 10.0 + 90.0 * rng.NextDouble();
-    lo = std::min(lo, x);
-    hi = std::max(hi, x);
-    p2.Add(x);
-  }
-  EXPECT_GE(p2.Value(), lo);
-  EXPECT_LE(p2.Value(), hi);
-  // p95 of U(10,100) is ~95.5; P² should be close.
-  EXPECT_NEAR(p2.Value(), 95.5, 2.0);
-}
-
 TEST(QuantileEdge, ResetRestoresEmptyBehavior) {
   ExactQuantile exact;
-  P2Quantile p2(0.5);
   LogHistogramQuantile histogram;
   for (int i = 1; i <= 100; ++i) {
     exact.Add(i);
-    p2.Add(i);
     histogram.Add(i);
   }
   exact.Reset();
-  p2.Reset();
   histogram.Reset();
   EXPECT_EQ(exact.count(), 0u);
-  EXPECT_EQ(p2.count(), 0u);
   EXPECT_EQ(histogram.count(), 0u);
   EXPECT_EQ(exact.Quantile(0.95), 0.0);
-  EXPECT_EQ(p2.Value(), 0.0);
   EXPECT_EQ(histogram.Quantile(0.95), 0.0);
 }
 

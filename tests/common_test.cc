@@ -86,45 +86,6 @@ TEST(ExactQuantile, NearestRankDefinition) {
   EXPECT_DOUBLE_EQ(q.Quantile(0.0), 1.0);
 }
 
-TEST(P2Quantile, ExactForSmallSamples) {
-  P2Quantile p95(0.95);
-  ExactQuantile exact;
-  RngStream rng(17, "p2-small");
-  for (int i = 0; i < 50; ++i) {
-    const double x = rng.NextDouble() * 100.0;
-    p95.Add(x);
-    exact.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(p95.Value(), exact.Quantile(0.95));
-}
-
-class P2AccuracySweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(P2AccuracySweep, TracksExactQuantileOnLognormal) {
-  const double quantile = GetParam();
-  P2Quantile p2(quantile);
-  ExactQuantile exact;
-  RngStream rng(19, "p2-sweep");
-  for (int i = 0; i < 50000; ++i) {
-    const double x = std::exp(rng.NextGaussian());  // heavy-ish tail
-    p2.Add(x);
-    exact.Add(x);
-  }
-  const double truth = exact.Quantile(quantile);
-  EXPECT_NEAR(p2.Value(), truth, 0.05 * truth);
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantiles, P2AccuracySweep,
-                         ::testing::Values(0.5, 0.9, 0.95, 0.99));
-
-TEST(P2Quantile, ResetClears) {
-  P2Quantile p(0.95);
-  for (int i = 0; i < 1000; ++i) p.Add(i);
-  p.Reset();
-  EXPECT_EQ(p.count(), 0u);
-  EXPECT_DOUBLE_EQ(p.Value(), 0.0);
-}
-
 TEST(LogHistogramQuantile, TracksExactWithinBinResolution) {
   LogHistogramQuantile hist;
   ExactQuantile exact;

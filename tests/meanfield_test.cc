@@ -23,6 +23,10 @@
 //   * fleet aggregation  5% on totals when RunFleetMeanField replaces
 //                        RunFleet's discrete regions (router feedback
 //                        compounds small per-window differences).
+//
+// Both tiers run through one fleet loop (fleet::Region's backend seam), so
+// the fluid fleet also inherits RunFleet's determinism contract: results
+// are bit-identical at every thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -39,7 +43,6 @@
 #include "fleet/meanfield_fleet.h"
 #include "graph/config_graph.h"
 #include "models/zoo.h"
-#include "opt/meanfield_eval.h"
 #include "opt/surrogate.h"
 #include "perf/perf_model.h"
 #include "serving/deployment.h"
@@ -188,39 +191,43 @@ TEST(MeanFieldSimTest, OverloadAccumulatesFiniteBacklogTail) {
   EXPECT_GT(fluid.windows().back().p95_ms, fluid.windows().front().p95_ms);
 }
 
-// Under a stable load the mean-field evaluator and the surrogate quote the
-// same steady-state latency (both collapse to the same aggregate M/M/c and
-// call the same sim/analytic.h oracles).
-TEST(MeanFieldEvaluatorTest, AgreesWithSurrogateAtSteadyState) {
+// Under a stable load the fluid tier and the surrogate quote the same
+// steady-state latency (both collapse to the same aggregate M/M/c and call
+// the same sim/analytic.h oracles).
+TEST(MeanFieldSimTest, AgreesWithSurrogateAtSteadyState) {
   const models::ModelZoo& zoo = models::DefaultZoo();
   const int num_gpus = 4;
   const serving::Deployment base =
       serving::MakeBase(models::Application::kClassification, num_gpus);
-  const graph::ConfigGraph graph =
-      graph::ConfigGraph::FromDeployment(base, zoo);
-
   const double rate = 0.6 * num_gpus * ServiceRatePerServer();
+
   opt::SurrogateEvaluator::Options surrogate_options;
   surrogate_options.arrival_rate_qps = rate;
   surrogate_options.service_model = ServiceModel::kExponential;
   opt::SurrogateEvaluator surrogate(&zoo, num_gpus, surrogate_options);
+  const opt::EvalOutcome steady =
+      surrogate.Evaluate(graph::ConfigGraph::FromDeployment(base, zoo));
 
-  opt::MeanFieldEvaluator::Options fluid_options;
-  fluid_options.arrival_rate_qps = rate;
-  fluid_options.service_model = ServiceModel::kExponential;
-  opt::MeanFieldEvaluator fluid(&zoo, num_gpus, fluid_options);
+  SimOptions options;
+  options.arrival_rate_qps = rate;
+  options.window_seconds = 300.0;
+  options.service_model = ServiceModel::kExponential;
+  MeanFieldSim fluid(base, zoo, &FlatTrace(), options);
+  fluid.AdvanceTo(options.window_seconds);
+  ASSERT_EQ(fluid.windows().size(), 1u);
+  const WindowRecord& window = fluid.windows().back();
 
-  const opt::EvalOutcome a = surrogate.Evaluate(graph);
-  const opt::EvalOutcome b = fluid.Evaluate(graph);
-  EXPECT_NEAR(b.metrics.p95_ms, a.metrics.p95_ms,
-              0.05 * a.metrics.p95_ms);
-  EXPECT_NEAR(b.metrics.accuracy, a.metrics.accuracy, 0.5);
+  EXPECT_NEAR(window.p95_ms, steady.metrics.p95_ms,
+              0.05 * steady.metrics.p95_ms);
+  EXPECT_NEAR(window.weighted_accuracy, steady.metrics.accuracy, 0.5);
   // Energy recipes differ (the fluid tier integrates the static floor over
-  // its horizon; the surrogate amortizes it at the offered rate), so only
+  // its window; the surrogate amortizes it at the offered rate), so only
   // sanity-bound the ratio.
-  EXPECT_GT(b.metrics.energy_per_request_j, 0.0);
-  EXPECT_LT(b.metrics.energy_per_request_j,
-            10.0 * a.metrics.energy_per_request_j);
+  ASSERT_GT(window.completions, 0u);
+  const double energy_per_request_j =
+      window.energy_j / static_cast<double>(window.completions);
+  EXPECT_GT(energy_per_request_j, 0.0);
+  EXPECT_LT(energy_per_request_j, 10.0 * steady.metrics.energy_per_request_j);
 }
 
 // Seeded property: whatever rate schedule the router throws at the fluid
@@ -336,20 +343,48 @@ TEST(MeanFieldFleetTest, TracksDiscreteEventFleet) {
   }
 }
 
-// Determinism: the fluid tier is pure arithmetic — two runs of the same
-// fleet config must be bit-identical (the campaign resume/dedup contract).
-TEST(MeanFieldFleetTest, RunsAreBitIdentical) {
+fleet::FleetConfig FluidFleet(int threads) {
   fleet::FleetConfig config;
   config.app = models::Application::kClassification;
-  config.regions = fleet::RegionsFromPresets({"us-west", "eu-west"}, 2);
+  config.regions = fleet::RegionsFromPresets(
+      {"us-west", "us-east", "eu-west", "ap-northeast"}, 2);
+  config.regions[1].outage_start_s = 1200.0;
+  config.regions[1].outage_end_s = 2400.0;
   config.duration_hours = 1.0;
   config.scheme = core::Scheme::kBase;
   config.router = fleet::RouterPolicy::kCarbonGreedy;
   config.seed = 11;
+  config.threads = threads;
+  return config;
+}
+
+// Determinism: the fluid tier is pure arithmetic and the shared fleet loop
+// folds regions in index order, so runs are bit-identical — repeated (the
+// campaign resume/dedup contract) and at any thread count (the loop fans
+// fluid regions out over the pool).
+TEST(MeanFieldFleetTest, RunsAreBitIdenticalAtAnyThreadCount) {
   const models::ModelZoo& zoo = models::DefaultZoo();
-  const fleet::FleetReport a = fleet::RunFleetMeanField(config, zoo);
-  const fleet::FleetReport b = fleet::RunFleetMeanField(config, zoo);
-  EXPECT_TRUE(fleet::FleetReportsBitIdentical(a, b));
+  const fleet::FleetReport reference =
+      fleet::RunFleetMeanField(FluidFleet(1), zoo);
+  EXPECT_GT(reference.fleet.completions, 0u);
+  for (const int threads : {1, 2, 8}) {
+    EXPECT_TRUE(fleet::FleetReportsBitIdentical(
+        reference, fleet::RunFleetMeanField(FluidFleet(threads), zoo)))
+        << threads << " threads";
+  }
+}
+
+// The fluid tier has no per-region controller and no fault model: adaptive
+// schemes and region fault schedules are rejected up front.
+TEST(MeanFieldFleetTest, RejectsAdaptiveSchemesAndRegionFaults) {
+  const models::ModelZoo& zoo = models::DefaultZoo();
+  fleet::FleetConfig clover = FluidFleet(1);
+  clover.scheme = core::Scheme::kClover;
+  EXPECT_THROW(fleet::RunFleetMeanField(clover, zoo), CheckError);
+
+  fleet::FleetConfig faulty = FluidFleet(1);
+  faulty.regions[2].faults.gpu_faults.push_back({0, 600.0, 1200.0});
+  EXPECT_THROW(fleet::RunFleetMeanField(faulty, zoo), CheckError);
 }
 
 }  // namespace

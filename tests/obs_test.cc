@@ -1,8 +1,10 @@
 // Tests for the observability layer (src/obs): sharded metric folds vs a
 // serial reference at several writer-thread counts, snapshot determinism
-// across thread counts, tracer ring wraparound, and a seeded property test
+// across thread counts, tracer ring wraparound, a seeded property test
 // that dumped traces are always well-formed (matched B/E pairs, monotone
-// timestamps per lane) no matter how spans nest or wrap.
+// timestamps per lane) no matter how spans nest or wrap, and counter
+// ownership: each optimizer counter is counted once, by the search that
+// owns the event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,11 +15,20 @@
 #include <utility>
 #include <vector>
 
+#include "carbon/trace.h"
 #include "common/json.h"
 #include "common/quantile.h"
 #include "common/thread_pool.h"
+#include "core/harness.h"
+#include "graph/neighbors.h"
+#include "models/zoo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "opt/annealing.h"
+#include "opt/random_search.h"
+#include "opt/surrogate.h"
+#include "serving/deployment.h"
+#include "sim/arrivals.h"
 #include "testing/proptest.h"
 
 namespace clover::obs {
@@ -311,6 +322,84 @@ TEST_F(ObsTest, PropSpanNestingAlwaysDumpsWellFormed) {
         return CheckTraceWellFormed(path);
       });
   EXPECT_TRUE(outcome.passed) << outcome.report;
+}
+
+std::uint64_t CounterValue(const char* name) {
+  return Registry::Get().GetCounter(name)->Fold();
+}
+
+// A search driven directly — no controller around it, as in the bench
+// rows — still counts what it screened and evaluated.
+TEST_F(ObsTest, DirectScreenedSearchesCountScreenedAndEvaluated) {
+  const models::ModelZoo& zoo = models::DefaultZoo();
+  const models::Application app = models::Application::kClassification;
+  const int gpus = 4;
+  opt::SurrogateEvaluator::Options surrogate_options;
+  surrogate_options.arrival_rate_qps = sim::SizeArrivalRate(zoo, app, gpus);
+  opt::SurrogateEvaluator surrogate(&zoo, gpus, surrogate_options);
+  const graph::ConfigGraph base = graph::ConfigGraph::FromDeployment(
+      serving::MakeBase(app, gpus), zoo);
+  opt::ObjectiveParams params;
+  params.a_base = 80.0;
+  params.c_base_g = 1.0;
+  params.l_tail_ms = 1e9;
+
+  graph::GraphMapper mapper(&zoo, gpus);
+  opt::RandomSearch::Options rs;
+  rs.max_evaluations = 12;
+  rs.no_improve_limit = 1 << 30;
+  rs.screen_factor = 4;
+  opt::RandomSearch random_search(&surrogate, &mapper, rs, 7);
+  random_search.SetSurrogate(&surrogate);
+  const opt::SearchResult random = random_search.Run(base, params, 250.0);
+  ASSERT_GT(random.screened, 0);
+  EXPECT_EQ(CounterValue("opt.screened"),
+            static_cast<std::uint64_t>(random.screened));
+  EXPECT_EQ(CounterValue("opt.evaluated"), random.evaluations.size());
+
+  Registry::Get().ResetForTest();
+  graph::NeighborSampler sampler(&mapper, 7);
+  opt::SimulatedAnnealing::Options sa;
+  sa.max_evaluations = 12;
+  sa.no_improve_limit = 1 << 30;
+  sa.screen_factor = 4;
+  opt::SimulatedAnnealing annealer(&surrogate, &sampler, sa, 7);
+  annealer.SetSurrogate(&surrogate);
+  const opt::SearchResult annealed = annealer.Run(base, params, 250.0);
+  ASSERT_GT(annealed.screened, 0);
+  EXPECT_EQ(CounterValue("opt.screened"),
+            static_cast<std::uint64_t>(annealed.screened));
+  EXPECT_EQ(CounterValue("opt.evaluated"), annealed.evaluations.size());
+}
+
+// Driven by the controller, the same counters still count each event once:
+// they equal the sums over the run's optimization history.
+TEST_F(ObsTest, ControllerStepsDoNotDoubleCountSearchCounters) {
+  const carbon::CarbonTrace trace("obs-step", 300.0, [] {
+    std::vector<double> values(24, 150.0);
+    for (std::size_t i = 6; i < values.size(); ++i) values[i] = 320.0;
+    return values;
+  }());
+  core::ExperimentConfig config;
+  config.scheme = core::Scheme::kClover;
+  config.trace = &trace;
+  config.duration_hours = 1.0;
+  config.num_gpus = config.sizing_gpus = 2;
+  config.seed = 3;
+  config.controller.screen_factor = 4;
+  core::ExperimentHarness harness(&models::DefaultZoo());
+  const core::RunReport report = harness.Run(config);
+
+  ASSERT_FALSE(report.optimizations.empty());
+  std::uint64_t screened = 0, evaluated = 0;
+  for (const core::OptimizationRun& run : report.optimizations) {
+    screened += static_cast<std::uint64_t>(run.search.screened);
+    evaluated += run.search.evaluations.size();
+  }
+  EXPECT_GT(screened, 0u);
+  EXPECT_EQ(CounterValue("opt.screened"), screened);
+  EXPECT_EQ(CounterValue("opt.evaluated"), evaluated);
+  EXPECT_EQ(CounterValue("opt.invocations"), report.optimizations.size());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "opt/evaluator.h"
 #include "opt/objective.h"
 #include "opt/random_search.h"
+#include "opt/surrogate.h"
 #include "sim/arrivals.h"
 #include "sim/cluster_sim.h"
 
@@ -171,9 +172,18 @@ TEST(CachingEvaluator, SecondLookupIsFree) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(AnalyticEvaluator, MatchesSimulatorToFirstOrder) {
+// The closed-form surrogate at a fixed offered rate: zero evaluation cost
+// and no noise, so the search tests below isolate the search logic.
+SurrogateEvaluator Surrogate(int gpus, double rate, double l_tail_ms) {
+  SurrogateEvaluator::Options options;
+  options.arrival_rate_qps = rate;
+  options.l_tail_ms = l_tail_ms;
+  return SurrogateEvaluator(&DefaultZoo(), gpus, options);
+}
+
+TEST(SurrogateEvaluator, MatchesSimulatorToFirstOrder) {
   TestHarness h;
-  AnalyticEvaluator analytic(&DefaultZoo(), 4, h.rate, 200.0);
+  SurrogateEvaluator surrogate = Surrogate(4, h.rate, 200.0);
   SimEvaluator::Options options;
   options.measure_window_s = 120.0;
   options.l_tail_ms = 200.0;
@@ -182,32 +192,32 @@ TEST(AnalyticEvaluator, MatchesSimulatorToFirstOrder) {
       graph::ConfigGraph::FromDeployment(h.base, DefaultZoo());
   h.sim.AdvanceTo(300.0);  // warm up
   const EvalOutcome sim_outcome = simulated.Evaluate(g);
-  const EvalOutcome ana_outcome = analytic.Evaluate(g);
-  EXPECT_NEAR(ana_outcome.metrics.accuracy, sim_outcome.metrics.accuracy,
+  const EvalOutcome surrogate_outcome = surrogate.Evaluate(g);
+  EXPECT_NEAR(surrogate_outcome.metrics.accuracy, sim_outcome.metrics.accuracy,
               0.5);
-  EXPECT_NEAR(ana_outcome.metrics.energy_per_request_j,
+  EXPECT_NEAR(surrogate_outcome.metrics.energy_per_request_j,
               sim_outcome.metrics.energy_per_request_j,
               0.3 * sim_outcome.metrics.energy_per_request_j);
 }
 
-TEST(AnalyticEvaluator, OverloadDetected) {
-  AnalyticEvaluator analytic(&DefaultZoo(), 1, 1000.0, 200.0);
+TEST(SurrogateEvaluator, OverloadDetected) {
+  SurrogateEvaluator surrogate = Surrogate(1, 1000.0, 200.0);
   graph::ConfigGraph g(Application::kClassification, 4);
   g.SetWeight(3, mig::SliceType::k7g, 1);  // one B7 can't do 1000 qps
-  const EvalOutcome outcome = analytic.Evaluate(g);
+  const EvalOutcome outcome = surrogate.Evaluate(g);
   EXPECT_FALSE(outcome.sla_ok);
   EXPECT_GT(outcome.metrics.p95_ms, 1e5);
 }
 
-// --- Simulated annealing & random search (on the analytic evaluator for
-// speed and determinism) ---
+// --- Simulated annealing & random search (on the surrogate for speed and
+// determinism) ---
 
 ObjectiveParams ClassificationParams(double rate) {
-  // Build params from the analytic BASE point.
-  AnalyticEvaluator analytic(&DefaultZoo(), 10, rate, 1e9);
+  // Build params from the surrogate's BASE point.
+  SurrogateEvaluator surrogate = Surrogate(10, rate, 1e9);
   graph::ConfigGraph base(Application::kClassification, 4);
   base.SetWeight(3, mig::SliceType::k7g, 10);
-  const EvalOutcome outcome = analytic.Evaluate(base);
+  const EvalOutcome outcome = surrogate.Evaluate(base);
   ObjectiveParams params;
   params.lambda = 0.5;
   params.a_base = outcome.metrics.accuracy;
@@ -223,12 +233,12 @@ TEST(SimulatedAnnealing, ImprovesOverBaseAtHighIntensity) {
       sim::SizeArrivalRate(DefaultZoo(), Application::kClassification, 10,
                            0.75);
   const ObjectiveParams params = ClassificationParams(rate);
-  AnalyticEvaluator evaluator(&DefaultZoo(), 10, rate, params.l_tail_ms);
+  SurrogateEvaluator evaluator = Surrogate(10, rate, params.l_tail_ms);
   CachingEvaluator cache(&evaluator);
   graph::GraphMapper mapper(&DefaultZoo(), 10);
   graph::NeighborSampler sampler(&mapper, 23);
   SimulatedAnnealing::Options options;
-  options.time_budget_s = 1e9;     // analytic evals cost 0 time
+  options.time_budget_s = 1e9;     // surrogate evals cost 0 time
   options.no_improve_limit = 40;   // let it search
   options.max_evaluations = 400;
   SimulatedAnnealing annealer(&cache, &sampler, options, 23);
@@ -249,7 +259,7 @@ TEST(SimulatedAnnealing, ImprovesOverBaseAtHighIntensity) {
 TEST(SimulatedAnnealing, TimeBudgetRespected) {
   const double rate = 100.0;
   const ObjectiveParams params = ClassificationParams(rate);
-  // Wrap the analytic evaluator to charge 10 s per evaluation.
+  // Wrap the surrogate to charge 10 s per evaluation.
   class CostlyEvaluator : public Evaluator {
    public:
     explicit CostlyEvaluator(Evaluator* inner) : inner_(inner) {}
@@ -260,8 +270,8 @@ TEST(SimulatedAnnealing, TimeBudgetRespected) {
     }
     Evaluator* inner_;
   };
-  AnalyticEvaluator analytic(&DefaultZoo(), 10, rate, params.l_tail_ms);
-  CostlyEvaluator costly(&analytic);
+  SurrogateEvaluator surrogate = Surrogate(10, rate, params.l_tail_ms);
+  CostlyEvaluator costly(&surrogate);
   graph::GraphMapper mapper(&DefaultZoo(), 10);
   graph::NeighborSampler sampler(&mapper, 31);
   SimulatedAnnealing::Options options;
@@ -278,13 +288,13 @@ TEST(SimulatedAnnealing, TimeBudgetRespected) {
 TEST(SimulatedAnnealing, NoImproveTermination) {
   const double rate = 100.0;
   const ObjectiveParams params = ClassificationParams(rate);
-  AnalyticEvaluator analytic(&DefaultZoo(), 10, rate, params.l_tail_ms);
+  SurrogateEvaluator surrogate = Surrogate(10, rate, params.l_tail_ms);
   graph::GraphMapper mapper(&DefaultZoo(), 10);
   graph::NeighborSampler sampler(&mapper, 37);
   SimulatedAnnealing::Options options;
   options.time_budget_s = 1e9;
   options.no_improve_limit = 5;
-  SimulatedAnnealing annealer(&analytic, &sampler, options, 37);
+  SimulatedAnnealing annealer(&surrogate, &sampler, options, 37);
   graph::ConfigGraph base(Application::kClassification, 4);
   base.SetWeight(3, mig::SliceType::k7g, 10);
   const SearchResult result = annealer.Run(base, params, 200.0);
@@ -296,9 +306,9 @@ TEST(SimulatedAnnealing, NoImproveTermination) {
 
 TEST(RandomSearch, SamplesFeasibleConfigurations) {
   graph::GraphMapper mapper(&DefaultZoo(), 6);
-  AnalyticEvaluator analytic(&DefaultZoo(), 6, 100.0, 1e9);
+  SurrogateEvaluator surrogate = Surrogate(6, 100.0, 1e9);
   RandomSearch::Options options;
-  RandomSearch search(&analytic, &mapper, options, 41);
+  RandomSearch search(&surrogate, &mapper, options, 41);
   for (int i = 0; i < 100; ++i) {
     const graph::ConfigGraph g =
         search.SampleConfiguration(Application::kLanguage);
@@ -313,7 +323,7 @@ TEST(RandomSearch, FindsImprovementsButLessEfficiently) {
       sim::SizeArrivalRate(DefaultZoo(), Application::kClassification, 10,
                            0.75);
   const ObjectiveParams params = ClassificationParams(rate);
-  AnalyticEvaluator evaluator(&DefaultZoo(), 10, rate, params.l_tail_ms);
+  SurrogateEvaluator evaluator = Surrogate(10, rate, params.l_tail_ms);
   graph::GraphMapper mapper(&DefaultZoo(), 10);
   RandomSearch::Options options;
   options.time_budget_s = 1e9;

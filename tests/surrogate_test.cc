@@ -13,7 +13,6 @@
 // deterministic screen, and surrogate outcomes never leaking into results.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,7 +27,6 @@
 #include "opt/surrogate.h"
 #include "perf/perf_model.h"
 #include "serving/deployment.h"
-#include "sim/analytic.h"
 #include "sim/arrivals.h"
 #include "sim/cluster_sim.h"
 
@@ -106,37 +104,6 @@ TEST(SurrogateDifferential, P95MatchesSimulatorAcrossTheGrid) {
     const double analytic = SurrogateP95Ms(servers, 0.9);
     EXPECT_NEAR(analytic, simulated, 0.15 * simulated)
         << "c=" << servers << " rho=0.9";
-  }
-}
-
-TEST(SurrogateDifferential, SojournQuantileExactForMm1) {
-  // M/M/1 sojourn time is Exp(mu - lambda): the quantile has a closed form
-  // the bisection must reproduce to solver precision.
-  sim::analytic::MmcConfig config;
-  config.servers = 1;
-  config.service_rate = 10.0;
-  config.arrival_rate = 7.0;
-  for (double q : {0.5, 0.9, 0.95, 0.99}) {
-    const double exact = -std::log(1.0 - q) /
-                         (config.service_rate - config.arrival_rate);
-    EXPECT_NEAR(SurrogateEvaluator::MmcSojournQuantile(config, q), exact,
-                1e-9 * exact)
-        << "q=" << q;
-  }
-}
-
-TEST(SurrogateDifferential, SojournQuantileMonotoneAndBounded) {
-  sim::analytic::MmcConfig config;
-  config.servers = 4;
-  config.service_rate = 5.0;
-  config.arrival_rate = 14.0;
-  double previous = 0.0;
-  for (double q : {0.1, 0.5, 0.9, 0.95, 0.99}) {
-    const double t = SurrogateEvaluator::MmcSojournQuantile(config, q);
-    EXPECT_GT(t, previous);
-    // Sojourn >= service: the quantile dominates the pure-service quantile.
-    EXPECT_GE(t, -std::log(1.0 - q) / config.service_rate * 0.999);
-    previous = t;
   }
 }
 
