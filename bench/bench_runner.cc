@@ -874,7 +874,7 @@ int main(int argc, char** argv) {
     campaign.grid_cells = static_cast<int>(campaign.cells.size());
     exp::CampaignOptions options;
     options.threads = flags.threads;
-    options.write_files = false;
+    options.out_dir = flags.out_dir + "/campaign_e2e_step";
     bench::WallTimer timer;
     const exp::CampaignResult run = exp::RunCampaign(campaign, options);
     exp::ScenarioTiming timing = exp::FromReports(

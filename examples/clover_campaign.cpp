@@ -5,30 +5,29 @@
 //   clover_campaign validate FILE...    parse + expand, print the grid;
 //                                       exit 1 on the first bad spec
 //   clover_campaign run FILE            execute a campaign
-//       [--threads N]                   execution shards (default: spec)
+//       [--threads N]                   pool slots per process (default:
+//                                       spec)
 //       [--out DIR]                     output root (default campaign_out)
-//       [--resume]                      reuse <out>/runs/ journals
+//       [--resume]                      adopt <out>/runs/ journals
 //       [--workers N]                   fork N cooperating worker
-//                                       processes (claim protocol; the
-//                                       fold is byte-identical at any N)
+//                                       processes (default 1)
 //       [--claim-ttl S]                 heartbeat staleness bound for
 //                                       claim stealing (default 30)
 //       [--trace-out F]                 Chrome trace dump (enables obs)
 //       [--metrics-out F]               metrics snapshot dump (enables obs)
-//   clover_campaign worker FILE         join an in-progress campaign from
-//       [--out DIR] [--claim-ttl S]     another shell/host sharing the
-//                                       same --out directory
+//   clover_campaign worker FILE ...     join an in-progress campaign from
+//                                       another shell/host sharing the same
+//                                       --out directory (= run --resume)
 //   clover_campaign resume FILE ...     = run --resume
 //
-// `run` writes <out>/runs/<cell>.json as cells finish and folds everything
-// into <out>/CAMPAIGN_<name>.json — a clover-bench-v1 document (validated
-// by scripts/validate_bench_json.py, same as every BENCH_*.json) plus a
-// "campaign" summary block. With --workers (or via `worker`) execution
-// goes through the multi-process claim/journal/fold protocol of
-// exp/worker.h (specified in docs/CAMPAIGNS.md): the consolidated file is
-// then byte-identical regardless of worker count, crashes, or which
-// worker folds. Exit status: 0 on success, 1 on any spec or execution
-// failure, 2 on usage errors.
+// Every mode runs the same executor (exp/runner.h; protocol specified in
+// docs/CAMPAIGNS.md): cells are claimed, executed on the thread pool and
+// journaled to <out>/runs/<cell>.json, then folded into
+// <out>/CAMPAIGN_<name>.json — a clover-bench-v1 document (validated by
+// scripts/validate_bench_json.py, same as every BENCH_*.json) plus a
+// "campaign" summary block. The fold is byte-identical at any thread or
+// worker count, across crashes, and whichever process folds. Exit status:
+// 0 on success, 1 on any spec or execution failure, 2 on usage errors.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -41,8 +40,8 @@
 #include "common/check.h"
 #include "common/table.h"
 #include "exp/campaign.h"
+#include "exp/journal.h"
 #include "exp/runner.h"
-#include "exp/worker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -52,7 +51,6 @@ using clover::exp::CampaignMode;
 using clover::exp::CampaignOptions;
 using clover::exp::CampaignResult;
 using clover::exp::CampaignSpec;
-using clover::exp::WorkerOptions;
 
 int Usage() {
   std::cerr << "usage: clover_campaign list [DIR]\n"
@@ -60,10 +58,8 @@ int Usage() {
                "       clover_campaign run FILE [--threads N] [--out DIR] "
                "[--resume] [--workers N] [--claim-ttl S] "
                "[--trace-out F] [--metrics-out F]\n"
-               "       clover_campaign worker FILE [--out DIR] "
-               "[--claim-ttl S]\n"
-               "       clover_campaign resume FILE [--threads N] [--out "
-               "DIR]\n";
+               "       clover_campaign worker FILE [run flags]\n"
+               "       clover_campaign resume FILE [run flags]\n";
   return 2;
 }
 
@@ -120,66 +116,29 @@ int ValidateCampaigns(const std::vector<std::string>& paths) {
   return 0;
 }
 
-int RunCampaignFile(const std::string& path, const CampaignOptions& options,
-                    const std::string& trace_out,
-                    const std::string& metrics_out) {
+// One process's share of the campaign; the fold it publishes is the same
+// whichever process gets there.
+int RunWorker(const CampaignSpec& spec, const CampaignOptions& options) {
   try {
-    const CampaignSpec spec = clover::exp::LoadCampaignSpec(path);
-    std::cout << "==== campaign " << spec.name << " ====\n"
-              << spec.cells.size() << " unique cells ("
-              << spec.grid_cells - static_cast<int>(spec.cells.size())
-              << " duplicates removed) | "
-              << (options.threads > 0 ? options.threads : spec.threads)
-              << " threads"
-              << (options.resume ? " | resuming from " + options.out_dir
-                                 : "")
-              << "\n\n";
     const CampaignResult result = clover::exp::RunCampaign(spec, options);
-    std::cout << "\nran " << result.cells.size() - result.resumed_cells
+    std::cout << (options.print_tables ? "\n" : "") << "ran "
+              << result.executed_cells << " of " << result.cells.size()
               << " cells (" << result.resumed_cells << " resumed) in "
               << clover::TextTable::Num(result.wall_seconds, 1)
               << " s\nwrote " << result.consolidated_path << "\n";
-    // Flight-recorder dumps after the campaign quiesced (workers joined).
-    if (!trace_out.empty()) {
-      clover::obs::Tracer::Get().WriteChromeTrace(trace_out);
-      std::cout << "wrote trace " << trace_out << "\n";
-    }
-    if (!metrics_out.empty()) {
-      clover::obs::Registry::Get().WriteMetricsJson(metrics_out);
-      std::cout << "wrote metrics " << metrics_out << "\n";
-    }
     return 0;
   } catch (const std::exception& error) {
-    std::cerr << "FAIL " << path << ": " << error.what() << "\n";
+    std::cerr << "FAIL " << spec.name << ": " << error.what() << "\n";
     return 1;
   }
 }
 
-// One worker over a shared --out directory: claims cells, executes, folds
-// when everything is journaled. Used by the `worker` subcommand and by
-// each process of `run --workers N`.
-int RunWorkerProcess(const CampaignSpec& spec, const WorkerOptions& options) {
-  try {
-    const CampaignResult result =
-        clover::exp::RunCampaignWorker(spec, options);
-    std::cout << (options.print_tables ? "\n" : "")
-              << "worker executed " << result.executed_cells << " of "
-              << result.cells.size() << " cells in "
-              << clover::TextTable::Num(result.wall_seconds, 1)
-              << " s\nwrote " << result.consolidated_path << "\n";
-    return 0;
-  } catch (const std::exception& error) {
-    std::cerr << "FAIL worker (" << spec.name << "): " << error.what()
-              << "\n";
-    return 1;
-  }
-}
-
-// `run --workers N`: fork N-1 children and participate as the Nth worker.
-// Every worker folds once it observes all cells journaled; the folds are
+// Forks workers - 1 children and participates as the last worker. Every
+// worker folds once it observes all cells journaled; the folds are
 // byte-identical and published atomically, so concurrent folders are fine.
-int RunCampaignWorkers(const std::string& path, const WorkerOptions& options,
-                       int workers) {
+int RunCampaignFile(const std::string& path, CampaignOptions options,
+                    int workers, const std::string& trace_out,
+                    const std::string& metrics_out) {
   CampaignSpec spec;
   try {
     spec = clover::exp::LoadCampaignSpec(path);
@@ -190,10 +149,16 @@ int RunCampaignWorkers(const std::string& path, const WorkerOptions& options,
   std::cout << "==== campaign " << spec.name << " ====\n"
             << spec.cells.size() << " unique cells ("
             << spec.grid_cells - static_cast<int>(spec.cells.size())
-            << " duplicates removed) | " << workers
-            << " worker process(es) | claim TTL "
-            << clover::TextTable::Num(options.claim_ttl_s, 1) << " s | "
+            << " duplicates removed) | " << workers << " worker(s) x "
+            << (options.threads > 0 ? options.threads : spec.threads)
+            << " threads | "
+            << (options.resume ? "resuming from " : "fresh run in ")
             << options.out_dir << "\n\n";
+  // A fresh run forgets earlier results once, before any worker starts;
+  // from then on every worker adopts the journals its peers commit.
+  if (!options.resume)
+    clover::exp::RemoveJournalsAndClaims(spec, options.out_dir);
+  options.resume = true;
   std::cout.flush();  // forked children inherit stdio buffers
 
   std::vector<pid_t> children;
@@ -204,9 +169,9 @@ int RunCampaignWorkers(const std::string& path, const WorkerOptions& options,
       break;  // run with the workers we have; correctness is unaffected
     }
     if (pid == 0) {
-      WorkerOptions child = options;
+      CampaignOptions child = options;
       child.print_tables = false;
-      const int status = RunWorkerProcess(spec, child);
+      const int status = RunWorker(spec, child);
       std::cout.flush();
       std::cerr.flush();
       ::_exit(status);
@@ -214,13 +179,22 @@ int RunCampaignWorkers(const std::string& path, const WorkerOptions& options,
     children.push_back(pid);
   }
 
-  int status = RunWorkerProcess(spec, options);
+  int status = RunWorker(spec, options);
   for (const pid_t pid : children) {
     int wstatus = 0;
     if (::waitpid(pid, &wstatus, 0) < 0 || !WIFEXITED(wstatus) ||
         WEXITSTATUS(wstatus) != 0) {
       status = 1;
     }
+  }
+  // Flight-recorder dumps of this process, after the campaign quiesced.
+  if (!trace_out.empty()) {
+    clover::obs::Tracer::Get().WriteChromeTrace(trace_out);
+    std::cout << "wrote trace " << trace_out << "\n";
+  }
+  if (!metrics_out.empty()) {
+    clover::obs::Registry::Get().WriteMetricsJson(metrics_out);
+    std::cout << "wrote metrics " << metrics_out << "\n";
   }
   return status;
 }
@@ -245,9 +219,8 @@ int main(int argc, char** argv) {
   if (command == "run" || command == "resume" || command == "worker") {
     CampaignOptions options;
     options.print_tables = true;
-    options.resume = command == "resume";
-    int workers = 0;  // 0 = classic in-process path
-    double claim_ttl_s = 30.0;
+    options.resume = command != "run";
+    int workers = 1;
     std::string path;
     std::string trace_out, metrics_out;
     for (int i = 2; i < argc; ++i) {
@@ -287,7 +260,7 @@ int main(int argc, char** argv) {
           const double value = std::stod(next(), &consumed);
           CLOVER_CHECK(consumed == std::string(argv[i]).size());
           CLOVER_CHECK(value > 0.0 && value <= 3600.0);
-          claim_ttl_s = value;
+          options.claim_ttl_s = value;
         } catch (const std::exception&) {
           std::cerr << "bad value for --claim-ttl (want seconds in "
                        "(0, 3600])\n";
@@ -319,29 +292,7 @@ int main(int argc, char** argv) {
     clover::obs::SetEnabled(true);
     clover::obs::Tracer::Get().Enable();
 
-    if (command == "worker") {
-      // Join an in-progress campaign: one worker, shared --out directory.
-      WorkerOptions worker_options;
-      worker_options.out_dir = options.out_dir;
-      worker_options.claim_ttl_s = claim_ttl_s;
-      worker_options.print_tables = true;
-      CampaignSpec spec;
-      try {
-        spec = clover::exp::LoadCampaignSpec(path);
-      } catch (const std::exception& error) {
-        std::cerr << "FAIL " << path << ": " << error.what() << "\n";
-        return 1;
-      }
-      return RunWorkerProcess(spec, worker_options);
-    }
-    if (workers > 0) {
-      WorkerOptions worker_options;
-      worker_options.out_dir = options.out_dir;
-      worker_options.claim_ttl_s = claim_ttl_s;
-      worker_options.print_tables = true;
-      return RunCampaignWorkers(path, worker_options, workers);
-    }
-    return RunCampaignFile(path, options, trace_out, metrics_out);
+    return RunCampaignFile(path, options, workers, trace_out, metrics_out);
   }
 
   return Usage();

@@ -76,8 +76,9 @@ if command -v python3 >/dev/null; then
 fi
 
 # Campaign smoke: the declarative campaign path end to end — spec reader,
-# grid expansion, sharded runner, consolidated clover-bench-v1 artifact —
-# validated by the same script (mirrors the CI campaign-smoke step).
+# grid expansion, the one campaign executor, consolidated clover-bench-v1
+# artifact — validated by the same script (mirrors the CI campaign-smoke
+# step).
 if [[ "${CLOVER_SKIP_CAMPAIGN:-}" != 1 ]]; then
   "$BUILD_DIR"/examples/clover_campaign run campaigns/smoke.json \
     --threads 2 --out "$BUILD_DIR/campaign_out"
@@ -85,26 +86,28 @@ if [[ "${CLOVER_SKIP_CAMPAIGN:-}" != 1 ]]; then
     python3 scripts/validate_bench_json.py \
       "$BUILD_DIR"/campaign_out/CAMPAIGN_smoke.json
   fi
-  # Multi-process execution (docs/CAMPAIGNS.md): a 2-worker run must be
-  # byte-identical to a 1-worker run of the same spec.
-  "$BUILD_DIR"/examples/clover_campaign run campaigns/smoke.json \
-    --workers 1 --out "$BUILD_DIR/campaign_w1"
-  "$BUILD_DIR"/examples/clover_campaign run campaigns/smoke.json \
-    --workers 2 --out "$BUILD_DIR/campaign_w2"
-  cmp "$BUILD_DIR"/campaign_w1/CAMPAIGN_smoke.json \
-    "$BUILD_DIR"/campaign_w2/CAMPAIGN_smoke.json
+  # One executor, one format (docs/CAMPAIGNS.md): the 2-thread fold must
+  # be byte-identical to the 1- and 2-worker folds of the same spec.
+  for w in 1 2; do
+    "$BUILD_DIR"/examples/clover_campaign run campaigns/smoke.json \
+      --workers $w --out "$BUILD_DIR/campaign_w$w"
+    cmp "$BUILD_DIR"/campaign_out/CAMPAIGN_smoke.json \
+      "$BUILD_DIR/campaign_w$w/CAMPAIGN_smoke.json"
+  done
   # Both fleet tiers (discrete-event CLOVER regions, 1000 fluid regions):
-  # the same 1-vs-2-worker byte-identity, plus the schema check.
+  # the same threads-vs-workers byte-identity, plus the schema check.
   for name in fleet_routing_toy fleet_1000region_toy; do
     "$BUILD_DIR"/examples/clover_campaign run "campaigns/$name.json" \
-      --workers 1 --out "$BUILD_DIR/campaign_${name}_w1"
-    "$BUILD_DIR"/examples/clover_campaign run "campaigns/$name.json" \
-      --workers 2 --out "$BUILD_DIR/campaign_${name}_w2"
-    cmp "$BUILD_DIR/campaign_${name}_w1/CAMPAIGN_$name.json" \
-      "$BUILD_DIR/campaign_${name}_w2/CAMPAIGN_$name.json"
+      --threads 2 --out "$BUILD_DIR/campaign_${name}_t2"
+    for w in 1 2; do
+      "$BUILD_DIR"/examples/clover_campaign run "campaigns/$name.json" \
+        --workers $w --out "$BUILD_DIR/campaign_${name}_w$w"
+      cmp "$BUILD_DIR/campaign_${name}_t2/CAMPAIGN_$name.json" \
+        "$BUILD_DIR/campaign_${name}_w$w/CAMPAIGN_$name.json"
+    done
     if command -v python3 >/dev/null; then
       python3 scripts/validate_bench_json.py \
-        "$BUILD_DIR/campaign_${name}_w1/CAMPAIGN_$name.json"
+        "$BUILD_DIR/campaign_${name}_t2/CAMPAIGN_$name.json"
     fi
   done
   # The self-contained HTML report (mirrors the CI report step).

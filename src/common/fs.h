@@ -16,7 +16,7 @@
 //
 // CreateFileExclusive is the companion coordination primitive: an
 // O_CREAT|O_EXCL create, the one filesystem operation where exactly one of
-// N racing processes wins. The campaign worker protocol (exp/worker.h)
+// N racing processes wins. The campaign claim protocol (exp/runner.h)
 // builds its cell-claim files on it.
 #pragma once
 

@@ -20,6 +20,15 @@ std::string ClaimPath(const std::string& out_dir, const CellSpec& cell) {
   return out_dir + "/runs/.claim-" + cell.Name() + ".json";
 }
 
+void RemoveJournalsAndClaims(const CampaignSpec& spec,
+                             const std::string& out_dir) {
+  for (const CellSpec& cell : spec.cells) {
+    std::error_code ec;
+    std::filesystem::remove(JournalPath(out_dir, cell), ec);
+    std::filesystem::remove(ClaimPath(out_dir, cell), ec);
+  }
+}
+
 void WriteJournal(const std::string& path, const std::string& campaign,
                   const std::string& fault_fingerprint,
                   const CellOutcome& outcome) {
@@ -146,7 +155,7 @@ std::vector<SummaryRow> BuildSummary(const std::vector<CellOutcome>& cells) {
 }
 
 void WriteConsolidated(const std::string& path, const CampaignSpec& spec,
-                       const CampaignResult& result,
+                       const SuiteTiming& suite,
                        const std::vector<SummaryRow>& summary) {
   AtomicFileWriter out(path);
   CLOVER_CHECK_MSG(out.good(), "cannot open " << out.temp_path()
@@ -154,7 +163,7 @@ void WriteConsolidated(const std::string& path, const CampaignSpec& spec,
   {
     JsonWriter json(&out.stream());
     json.BeginObject();
-    WriteSuiteFields(&json, result.suite);
+    WriteSuiteFields(&json, suite);
     json.Key("campaign");
     json.BeginObject();
     json.Key("schema");
@@ -166,11 +175,11 @@ void WriteConsolidated(const std::string& path, const CampaignSpec& spec,
     json.Key("mode");
     json.String(spec.mode == CampaignMode::kFleet ? "fleet" : "single");
     json.Key("grid_cells");
-    json.Int(result.grid_cells);
+    json.Int(spec.grid_cells);
     json.Key("unique_cells");
-    json.Int(static_cast<std::int64_t>(result.cells.size()));
+    json.Int(static_cast<std::int64_t>(summary.size()));
     json.Key("resumed_cells");
-    json.Int(result.resumed_cells);
+    json.Int(static_cast<std::int64_t>(summary.size()));
     json.Key("summary");
     json.BeginArray();
     for (const SummaryRow& row : summary) {

@@ -10,8 +10,8 @@
 //                            renamed into place, so the existence of the
 //                            file IS the commit — no reader can ever
 //                            observe a partial journal.
-//   .claim-<cell>.json       a worker's in-progress claim on the cell
-//                            (clover-campaign-claim-v1; see exp/worker.h).
+//   .claim-<cell>.json       a run's in-progress claim on the cell
+//                            (clover-campaign-claim-v1; see exp/runner.h).
 //   .tmp-*                   uncommitted writes; a crashed worker's
 //                            leftovers. Never read: every scan keys on the
 //                            exact journal/claim name.
@@ -33,6 +33,11 @@ namespace clover::exp {
 
 std::string JournalPath(const std::string& out_dir, const CellSpec& cell);
 std::string ClaimPath(const std::string& out_dir, const CellSpec& cell);
+
+// Deletes the journal and the claim of every cell of `spec` — how a fresh
+// run starts over. Other campaigns' files in the directory are untouched.
+void RemoveJournalsAndClaims(const CampaignSpec& spec,
+                             const std::string& out_dir);
 
 // Journals one finished cell (schema clover-campaign-run-v1) with an
 // atomic tmp + rename publication. Only the scalar report fields are
@@ -64,11 +69,13 @@ struct SummaryRow {
 std::vector<SummaryRow> BuildSummary(const std::vector<CellOutcome>& cells);
 
 // Writes <out>/CAMPAIGN_<name>.json (clover-bench-v1 + campaign block)
-// atomically. Byte-for-byte deterministic given identical `result`
-// contents: the multi-worker fold (exp/worker.h) feeds it wall-clock-free
-// outcomes so any worker, at any worker count, publishes identical bytes.
+// atomically from the fold's rows — one per cell, every one rebuilt from
+// its journal (hence resumed_cells == unique_cells). Byte-for-byte
+// deterministic given identical rows: the fold (exp/runner.h) feeds it
+// wall-clock-free rows, so any run, at any thread or worker count,
+// publishes identical bytes.
 void WriteConsolidated(const std::string& path, const CampaignSpec& spec,
-                       const CampaignResult& result,
+                       const SuiteTiming& suite,
                        const std::vector<SummaryRow>& summary);
 
 // Human summary table for the rows WriteConsolidated serializes.

@@ -31,6 +31,13 @@ std::string FigToyPath() {
   return std::string(CLOVER_SOURCE_DIR) + "/campaigns/fig09_toy.json";
 }
 
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 // ---------------------------------------------------------------------------
 // Spec parsing and expansion.
 // ---------------------------------------------------------------------------
@@ -331,9 +338,10 @@ TEST(CampaignRunnerTest, Fig09ToyMatchesDirectPathAtOneAndEightThreads) {
   ASSERT_EQ(spec.cells.size(), 6u);
 
   CampaignOptions options;
-  options.write_files = false;
+  options.out_dir = ::testing::TempDir() + "/campaign_fig09_t1";
   options.threads = 1;
   const CampaignResult serial = RunCampaign(spec, options);
+  options.out_dir = ::testing::TempDir() + "/campaign_fig09_t8";
   options.threads = 8;
   const CampaignResult parallel = RunCampaign(spec, options);
 
@@ -379,6 +387,9 @@ TEST(CampaignRunnerTest, Fig09ToyMatchesDirectPathAtOneAndEightThreads) {
     EXPECT_EQ(a.sim_p99_ms, b.sim_p99_ms);
     EXPECT_EQ(a.notes, b.notes);
   }
+  // One format: the folds carry no wall clock, so they match byte for byte.
+  EXPECT_EQ(Slurp(serial.consolidated_path),
+            Slurp(parallel.consolidated_path));
 }
 
 // ---------------------------------------------------------------------------
@@ -623,7 +634,7 @@ TEST(CampaignRunnerTest, FleetCellsRunAndAreThreadCountInvariant) {
             "fleet-base-classification-static-us-west+ap-northeast-g2-h1-s1");
 
   CampaignOptions options;
-  options.write_files = false;
+  options.out_dir = ::testing::TempDir() + "/campaign_fleet_tiny";
   options.threads = 1;
   const CampaignResult serial = RunCampaign(spec, options);
   options.threads = 2;

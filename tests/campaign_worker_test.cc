@@ -1,6 +1,7 @@
-// Multi-process campaign execution (exp/worker.h): fold byte-identity at
-// any worker count, second-joiner no-op, stale-claim stealing, waiting on
-// live peers, and THE acceptance gate — a 2-worker run of
+// Multi-process campaign execution (the claim protocol of exp/runner.h):
+// fold byte-identity at any worker count, second-joiner no-op, stale-claim
+// stealing, waiting on live peers, the observability flags under
+// --workers, and THE acceptance gate — a 2-worker run of
 // campaigns/fig09_toy.json through the real clover_campaign binary is
 // byte-identical to the 1-worker run, including after a worker is
 // SIGKILLed mid-campaign and a replacement joins.
@@ -23,7 +24,6 @@
 #include "exp/campaign.h"
 #include "exp/journal.h"
 #include "exp/runner.h"
-#include "exp/worker.h"
 
 namespace clover::exp {
 namespace {
@@ -65,13 +65,13 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-// The reference bytes every test compares against: one in-process worker
-// over a fresh directory. Computed once per spec.
+// The reference bytes every test compares against: one fresh in-process
+// run over a fresh directory. Computed once per spec.
 const std::string& TinyReferenceBytes() {
   static const std::string* bytes = [] {
-    WorkerOptions options;
+    CampaignOptions options;
     options.out_dir = FreshDir("worker_tiny_ref");
-    const CampaignResult result = RunCampaignWorker(TinySpec(), options);
+    const CampaignResult result = RunCampaign(TinySpec(), options);
     return new std::string(Slurp(result.consolidated_path));
   }();
   return *bytes;
@@ -79,13 +79,21 @@ const std::string& TinyReferenceBytes() {
 
 const std::string& FigToyReferenceBytes() {
   static const std::string* bytes = [] {
-    WorkerOptions options;
+    CampaignOptions options;
     options.out_dir = FreshDir("worker_figtoy_ref");
     const CampaignResult result =
-        RunCampaignWorker(LoadCampaignSpec(FigToyPath()), options);
+        RunCampaign(LoadCampaignSpec(FigToyPath()), options);
     return new std::string(Slurp(result.consolidated_path));
   }();
   return *bytes;
+}
+
+// What `clover_campaign worker` runs: adopt whatever peers have committed.
+CampaignOptions JoinerOptions(const std::string& out_dir) {
+  CampaignOptions options;
+  options.out_dir = out_dir;
+  options.resume = true;
+  return options;
 }
 
 // fork + exec the real binary with stdout/stderr discarded. Returns the
@@ -119,19 +127,18 @@ int Reap(pid_t pid) {
 
 TEST(CampaignWorkerTest, SoloWorkerFoldsAndAJoinerIsAByteIdenticalNoOp) {
   const CampaignSpec spec = TinySpec();
-  WorkerOptions options;
-  options.out_dir = FreshDir("worker_solo");
+  const CampaignOptions options = JoinerOptions(FreshDir("worker_solo"));
 
-  const CampaignResult first = RunCampaignWorker(spec, options);
+  const CampaignResult first = RunCampaign(spec, options);
   EXPECT_EQ(first.executed_cells, 4);
-  // Every fold row is rebuilt from its journal, by construction.
-  EXPECT_EQ(first.resumed_cells, 4);
+  EXPECT_EQ(first.executed_cells + first.resumed_cells, 4);
   EXPECT_EQ(Slurp(first.consolidated_path), TinyReferenceBytes());
 
   // A worker joining after completion executes nothing and re-publishes
   // the identical bytes.
-  const CampaignResult second = RunCampaignWorker(spec, options);
+  const CampaignResult second = RunCampaign(spec, options);
   EXPECT_EQ(second.executed_cells, 0);
+  EXPECT_EQ(second.executed_cells + second.resumed_cells, 4);
   EXPECT_EQ(Slurp(second.consolidated_path), TinyReferenceBytes());
 
   // No leftover claims or uncommitted temp files.
@@ -145,8 +152,7 @@ TEST(CampaignWorkerTest, SoloWorkerFoldsAndAJoinerIsAByteIdenticalNoOp) {
 
 TEST(CampaignWorkerTest, StaleClaimIsStolenAndTheCellStillCompletes) {
   const CampaignSpec spec = TinySpec();
-  WorkerOptions options;
-  options.out_dir = FreshDir("worker_steal");
+  const CampaignOptions options = JoinerOptions(FreshDir("worker_steal"));
   fs::create_directories(options.out_dir + "/runs");
 
   // A claim from a long-dead worker: valid content, ancient heartbeat.
@@ -156,7 +162,7 @@ TEST(CampaignWorkerTest, StaleClaimIsStolenAndTheCellStillCompletes) {
       "{\"schema\":\"clover-campaign-claim-v1\",\"owner\":\"ghost#1\","
       "\"heartbeat_unix_s\":1.0}\n"));
 
-  const CampaignResult result = RunCampaignWorker(spec, options);
+  const CampaignResult result = RunCampaign(spec, options);
   EXPECT_EQ(result.executed_cells, 4);
   EXPECT_EQ(Slurp(result.consolidated_path), TinyReferenceBytes());
   EXPECT_FALSE(fs::exists(claim_path));
@@ -167,9 +173,7 @@ TEST(CampaignWorkerTest, WaitsOnALiveClaimAndAdoptsThePeersJournal) {
   TinyReferenceBytes();  // materialize the reference journals first
   const std::string ref_dir = ::testing::TempDir() + "/worker_tiny_ref";
 
-  WorkerOptions options;
-  options.out_dir = FreshDir("worker_wait");
-  options.poll_interval_s = 0.05;
+  const CampaignOptions options = JoinerOptions(FreshDir("worker_wait"));
   fs::create_directories(options.out_dir + "/runs");
 
   // A live peer holds cells[0]: fresh heartbeat, so the worker must not
@@ -195,7 +199,7 @@ TEST(CampaignWorkerTest, WaitsOnALiveClaimAndAdoptsThePeersJournal) {
     fs::rename(tmp, dst);
     fs::remove(claim_path);
   });
-  const CampaignResult result = RunCampaignWorker(spec, options);
+  const CampaignResult result = RunCampaign(spec, options);
   peer.join();
 
   EXPECT_EQ(result.executed_cells, 3);
@@ -255,14 +259,32 @@ TEST(CampaignWorkerTest, SigkilledWorkerIsReplacedWithIdenticalOutput) {
   EXPECT_EQ(Reap(victim), -1);  // died by signal, not a clean exit
   fs::remove(pin_path);  // hand the pinned cell to the replacement
 
-  WorkerOptions options;
-  options.out_dir = out_dir;
+  CampaignOptions options = JoinerOptions(out_dir);
   options.claim_ttl_s = 1.0;  // the victim's claims go stale in ~1 s
-  options.poll_interval_s = 0.05;
   const CampaignResult result =
-      RunCampaignWorker(LoadCampaignSpec(FigToyPath()), options);
+      RunCampaign(LoadCampaignSpec(FigToyPath()), options);
   EXPECT_EQ(Slurp(result.consolidated_path), FigToyReferenceBytes());
-  EXPECT_EQ(result.resumed_cells, 6);
+  EXPECT_GE(result.executed_cells, 1);  // at least the pinned cell
+  EXPECT_EQ(result.executed_cells + result.resumed_cells, 6);
+}
+
+TEST(CampaignWorkerTest, TraceAndMetricsFlagsApplyUnderWorkers) {
+  // Every run flag applies in every mode: under --workers the parent
+  // process still dumps its own trace and metrics.
+  const std::string out_dir = FreshDir("figtoy_obs");
+  const std::string trace = ::testing::TempDir() + "/figtoy_obs_trace.json";
+  const std::string metrics =
+      ::testing::TempDir() + "/figtoy_obs_metrics.json";
+  fs::remove(trace);
+  fs::remove(metrics);
+  ASSERT_EQ(Reap(Spawn({CampaignBinary(), "run", FigToyPath(), "--workers",
+                        "1", "--out", out_dir, "--trace-out", trace,
+                        "--metrics-out", metrics})),
+            0);
+  for (const std::string& path : {trace, metrics}) {
+    ASSERT_TRUE(fs::exists(path)) << path;
+    EXPECT_NO_THROW(ParseJsonFile(path)) << path;
+  }
 }
 
 }  // namespace

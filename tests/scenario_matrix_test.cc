@@ -1,15 +1,13 @@
 // Scenario-matrix integration tests: the full pipeline (carbon trace ->
-// controller/optimizer -> cluster simulator -> serving runtime) driven
-// across diverse end-to-end configurations, each asserting the system's
-// cross-cutting invariants — carbon savings never negative vs BASE, SLO
-// attainment, accuracy envelopes, and bit-identical determinism under a
-// fixed seed. This matrix is the regression net future scale/perf PRs
+// controller/optimizer -> cluster simulator) driven across diverse
+// end-to-end configurations, each asserting the system's cross-cutting
+// invariants — carbon savings never negative vs BASE, SLO attainment,
+// accuracy envelopes, and bit-identical determinism under a fixed seed. This matrix is the regression net future scale/perf PRs
 // verify against; add a Scenario (not a bespoke test) for new workloads.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "serving/runtime.h"
 #include "testing/golden.h"
 #include "testing/scenario.h"
 #include "testing/trace_fixtures.h"
@@ -130,43 +128,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Scenario>& info) {
       return info.param.name;
     });
-
-// The serving-runtime leg: the deployment the optimizer converged to is
-// realized on the threaded InferenceRuntime (real producer/dispatcher/
-// worker threads), closing the trace -> optimizer -> simulator -> runtime
-// pipeline end to end.
-TEST(ScenarioServingRuntime, OptimizedDeploymentServesOnRealThreads) {
-  core::ExperimentHarness harness(&models::DefaultZoo());
-  Scenario scenario;
-  scenario.name = "runtime_leg";
-  scenario.app = Application::kClassification;
-  scenario.trace = TraceKind::kCisoMarch;
-  scenario.duration_hours = 3.0;
-  const carbon::CarbonTrace trace = MakeScenarioTrace(scenario);
-  const core::RunReport report =
-      harness.Run(MakeConfig(scenario, core::Scheme::kClover, &trace));
-  ASSERT_GT(report.optimizations.size(), 0u);
-
-  const serving::Deployment deployment = FinalCloverDeployment(
-      report, models::DefaultZoo(), scenario.num_gpus);
-  serving::InferenceRuntime runtime(deployment, models::DefaultZoo());
-  runtime.Start();
-  constexpr int kRequests = 2000;
-  int accepted = 0;
-  for (int i = 0; i < kRequests; ++i) accepted += runtime.Submit() ? 1 : 0;
-  runtime.Drain();
-  const serving::InferenceRuntime::Stats stats = runtime.SnapshotStats();
-
-  EXPECT_EQ(accepted, kRequests);
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
-  const models::ModelFamily& family =
-      models::DefaultZoo().ForApplication(scenario.app);
-  EXPECT_TRUE(InGoldenRange(
-      "runtime_weighted_accuracy", stats.weighted_accuracy,
-      {family.Smallest().accuracy, family.Largest().accuracy}));
-  EXPECT_GT(stats.p95_latency_ms, 0.0);
-  EXPECT_GE(stats.p95_latency_ms, stats.mean_latency_ms);
-}
 
 // --- Fleet scenarios: the multi-region routing layer over the same
 // pipeline. Regions run BASE so the assertions isolate the *spatial*

@@ -1,11 +1,9 @@
-// Tests for deployments, the reconfiguration planner, and the threaded
-// serving runtime.
+// Tests for deployments and the reconfiguration planner.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "serving/deployment.h"
 #include "serving/reconfig_planner.h"
-#include "serving/runtime.h"
 
 namespace clover::serving {
 namespace {
@@ -102,180 +100,6 @@ TEST(ReconfigPlanner, MismatchedClustersRejected) {
   const Deployment a = MakeBase(Application::kDetection, 2);
   const Deployment b = MakeBase(Application::kDetection, 3);
   EXPECT_THROW(PlanReconfiguration(a, b, DefaultZoo()), CheckError);
-}
-
-// --- Threaded runtime ---
-
-InferenceRuntime::Options FastOptions() {
-  InferenceRuntime::Options options;
-  options.time_scale = 1e-4;  // 30 ms simulated -> 3 us wall
-  return options;
-}
-
-TEST(Runtime, ServesEverySubmittedRequest) {
-  const Deployment d = MakeUniform(Application::kClassification, 2, 19, 0);
-  InferenceRuntime runtime(d, DefaultZoo(), FastOptions());
-  runtime.Start();
-  constexpr int kRequests = 500;
-  for (int i = 0; i < kRequests; ++i) ASSERT_TRUE(runtime.Submit());
-  runtime.Drain();
-  const auto stats = runtime.SnapshotStats();
-  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
-  std::uint64_t served = 0;
-  for (std::uint64_t s : stats.served_per_instance) served += s;
-  EXPECT_EQ(served, static_cast<std::uint64_t>(kRequests));
-}
-
-TEST(Runtime, AccuracyGreedyDispatchPrefersBigModels) {
-  // One B7-on-7g instance + seven B1-on-1g instances: under light load the
-  // B7 instance should take a disproportionate share.
-  Deployment d;
-  d.app = Application::kClassification;
-  {
-    GpuAssignment gpu;
-    gpu.layout_id = 1;
-    gpu.variant_ordinals = {3};  // B7
-    d.gpus.push_back(gpu);
-  }
-  {
-    GpuAssignment gpu;
-    gpu.layout_id = 19;
-    gpu.variant_ordinals.assign(7, 0);  // B1
-    d.gpus.push_back(gpu);
-  }
-  InferenceRuntime runtime(d, DefaultZoo(), FastOptions());
-  runtime.Start();
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(runtime.Submit());
-    // Pace submissions so the queue never backs up: the dispatcher should
-    // always find the B7 instance idle first.
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  runtime.Drain();
-  const auto stats = runtime.SnapshotStats();
-  ASSERT_EQ(stats.served_per_instance.size(), 8u);
-  // Weighted accuracy must sit strictly above all-B1 serving.
-  EXPECT_GT(stats.weighted_accuracy, 78.8);
-}
-
-TEST(Runtime, SubmitAfterDrainFails) {
-  const Deployment d = MakeUniform(Application::kLanguage, 1, 1, 3);
-  InferenceRuntime runtime(d, DefaultZoo(), FastOptions());
-  runtime.Start();
-  ASSERT_TRUE(runtime.Submit());
-  runtime.Drain();
-  EXPECT_FALSE(runtime.Submit());
-}
-
-TEST(Runtime, RateZeroStartDrainsCleanlyWithNoArrivals) {
-  // A runtime whose producer never submits (a fleet region routed to
-  // weight 0, or a silenced fault window) must start and drain without
-  // deadlock, with a zeroed but consistent latency store.
-  const Deployment d = MakeUniform(Application::kClassification, 2, 19, 0);
-  InferenceRuntime runtime(d, DefaultZoo(), FastOptions());
-  runtime.Start();
-  runtime.Drain();
-  const auto stats = runtime.SnapshotStats();
-  EXPECT_EQ(stats.submitted, 0u);
-  EXPECT_EQ(stats.completed, 0u);
-  EXPECT_DOUBLE_EQ(stats.p95_latency_ms, 0.0);
-  EXPECT_DOUBLE_EQ(stats.mean_latency_ms, 0.0);
-  EXPECT_DOUBLE_EQ(stats.weighted_accuracy, 0.0);
-  for (std::uint64_t served : stats.served_per_instance)
-    EXPECT_EQ(served, 0u);
-  // Drain is idempotent, and Submit after it refuses politely.
-  runtime.Drain();
-  EXPECT_FALSE(runtime.Submit());
-}
-
-TEST(Runtime, NeverStartedRuntimeDestructsCleanly) {
-  const Deployment d = MakeUniform(Application::kClassification, 1, 1, 3);
-  InferenceRuntime runtime(d, DefaultZoo(), FastOptions());
-  const auto stats = runtime.SnapshotStats();
-  EXPECT_EQ(stats.submitted, 0u);
-  // Destructor calls Drain() on a runtime with no threads.
-}
-
-TEST(Runtime, FaultWindowArrivalGapsKeepStoreConsistent) {
-  // Arrivals in bursts separated by dead windows (the offered-load shape a
-  // flash crowd + outage produces): every burst must fully drain, the
-  // store stays consistent after each gap, and intermediate snapshots are
-  // safe while workers are mid-flight.
-  const Deployment d = MakeUniform(Application::kClassification, 2, 19, 0);
-  InferenceRuntime runtime(d, DefaultZoo(), FastOptions());
-  runtime.Start();
-  std::uint64_t submitted = 0;
-  for (int burst = 0; burst < 3; ++burst) {
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(runtime.Submit());
-      ++submitted;
-    }
-    // Quiet window: long enough for the backlog to clear at the fast time
-    // scale, so the next burst starts against idle instances.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const auto mid = runtime.SnapshotStats();
-    EXPECT_EQ(mid.submitted, submitted);
-    EXPECT_LE(mid.completed, mid.submitted);
-  }
-  runtime.Drain();
-  const auto stats = runtime.SnapshotStats();
-  EXPECT_EQ(stats.submitted, submitted);
-  EXPECT_EQ(stats.completed, submitted);
-  std::uint64_t served = 0;
-  for (std::uint64_t s : stats.served_per_instance) served += s;
-  EXPECT_EQ(served, submitted);
-  EXPECT_GT(stats.p95_latency_ms, 0.0);
-  EXPECT_GE(stats.p95_latency_ms, stats.mean_latency_ms * 0.5);
-}
-
-TEST(Runtime, QueuePressureBlocksSubmitUntilDrained) {
-  // A tiny queue under a burst exercises the queue_not_full_ path (Submit
-  // blocks, then proceeds) without deadlocking against Drain.
-  InferenceRuntime::Options options = FastOptions();
-  options.queue_capacity = 8;
-  const Deployment d = MakeUniform(Application::kClassification, 1, 19, 0);
-  InferenceRuntime runtime(d, DefaultZoo(), options);
-  runtime.Start();
-  for (int i = 0; i < 300; ++i) ASSERT_TRUE(runtime.Submit());
-  runtime.Drain();
-  const auto stats = runtime.SnapshotStats();
-  EXPECT_EQ(stats.completed, 300u);
-}
-
-TEST(Runtime, SnapshotStatsIsConstAndRepeatable) {
-  // Regression for the const contract: SnapshotStats used to feed the
-  // latency buffer to a mutating quantile query under the mutex, so it
-  // could not be const and back-to-back snapshots could disagree. With
-  // the fold-on-read sharded store it is const (this call compiles
-  // through a const reference) and pure: identical snapshots, any number
-  // of times, with no writers running.
-  const Deployment d = MakeUniform(Application::kClassification, 2, 19, 0);
-  InferenceRuntime runtime(d, DefaultZoo(), FastOptions());
-  runtime.Start();
-  for (int i = 0; i < 400; ++i) ASSERT_TRUE(runtime.Submit());
-  runtime.Drain();
-
-  const InferenceRuntime& const_runtime = runtime;
-  const auto first = const_runtime.SnapshotStats();
-  const auto second = const_runtime.SnapshotStats();
-  EXPECT_EQ(first.completed, 400u);
-  EXPECT_EQ(second.completed, first.completed);
-  EXPECT_EQ(second.p95_latency_ms, first.p95_latency_ms);
-  EXPECT_EQ(second.mean_latency_ms, first.mean_latency_ms);
-  EXPECT_EQ(second.weighted_accuracy, first.weighted_accuracy);
-  EXPECT_GT(first.p95_latency_ms, 0.0);
-}
-
-TEST(Runtime, LatenciesAreAtLeastServiceTime) {
-  const Deployment d = MakeUniform(Application::kDetection, 1, 1, 2);
-  InferenceRuntime runtime(d, DefaultZoo(), FastOptions());
-  runtime.Start();
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(runtime.Submit());
-  runtime.Drain();
-  const auto stats = runtime.SnapshotStats();
-  // p95 (in simulated ms) cannot be below the single-instance service time.
-  EXPECT_GE(stats.p95_latency_ms, 100.0);  // YOLOv5x6 on 7g is ~170 ms
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/units.h"
-#include "graph/mapping.h"
 
 namespace clover::testing {
 
@@ -128,18 +127,6 @@ FleetScenarioRun RunFleetScenario(const FleetScenario& scenario) {
   config.router = fleet::RouterPolicy::kStatic;
   run.static_split = fleet::RunFleet(config, models::DefaultZoo());
   return run;
-}
-
-serving::Deployment FinalCloverDeployment(const core::RunReport& report,
-                                          const models::ModelZoo& zoo,
-                                          int num_gpus) {
-  graph::GraphMapper mapper(&zoo, num_gpus);
-  for (auto it = report.optimizations.rbegin();
-       it != report.optimizations.rend(); ++it) {
-    auto deployment = mapper.ToDeployment(it->search.best);
-    if (deployment.has_value()) return *deployment;
-  }
-  return serving::MakeBase(report.app, num_gpus);
 }
 
 }  // namespace clover::testing

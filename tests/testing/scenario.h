@@ -18,7 +18,6 @@
 #include "carbon/trace.h"
 #include "core/harness.h"
 #include "fleet/fleet_sim.h"
-#include "serving/deployment.h"
 #include "testing/trace_fixtures.h"
 
 namespace clover::testing {
@@ -89,13 +88,6 @@ ScenarioRun RunScenario(core::ExperimentHarness& harness,
 // the calling test): both schemes serve, carbon savings and accuracy loss
 // inside the scenario's envelope, SLO attainment, aligned window series.
 void CheckScenarioInvariants(const Scenario& scenario, const ScenarioRun& run);
-
-// Deployment realized from the last optimization invocation's winning
-// graph; falls back to BASE when the run had no (feasible) optimization.
-// Bridges the simulator-side reports into the threaded serving runtime.
-serving::Deployment FinalCloverDeployment(const core::RunReport& report,
-                                          const models::ModelZoo& zoo,
-                                          int num_gpus);
 
 // --- Fleet scenarios (multi-region routing) -------------------------------
 //
