@@ -12,10 +12,10 @@
 // Scenarios:
 //   sim_hot_path     raw discrete-event simulator throughput (events/sec,
 //                    p50/p99 simulated latency) on a BASE cluster
-//   sharded_sim      ShardedClusterSim (sim/sharded_sim.h): independent
-//                    lanes over the thread pool with the epoch-barrier
-//                    merge; reports merged events/sec and enforces the
-//                    shard determinism contract (--threads vs 1 thread
+//   fleet_lanes      fleet::RunFleet over identical BASE regions (lanes)
+//                    under the static router, stepped in parallel across
+//                    --threads; reports fleet events/sec and enforces the
+//                    fleet determinism contract (--threads vs 1 thread
 //                    must be bit-identical) via exit status
 //   opt_screened     screen-then-simulate random search: the analytic
 //                    surrogate (opt/surrogate.h) ranks a 16x oversampled
@@ -55,12 +55,12 @@
 //                    invariance contract (--threads workers vs 1 must
 //                    produce a bit-identical twin report and identical
 //                    live latencies) via exit status
-//   obs_overhead     the observability layer's own cost: the sharded-sim
-//                    workload with instrumentation runtime-disabled vs
-//                    enabled-but-idle (recording, nobody reading); notes
-//                    give the throughput ratio, and the two summaries
-//                    must be bit-identical (instrumentation never
-//                    perturbs results)
+//   obs_overhead     the observability layer's own cost: a half-size
+//                    fleet_lanes workload with instrumentation runtime-
+//                    disabled vs enabled-but-idle (recording, nobody
+//                    reading); notes give the throughput ratio, and the
+//                    two fleet reports must be bit-identical
+//                    (instrumentation never perturbs results)
 //
 // The whole suite runs with observability *enabled* (src/obs), so every
 // bit-identity twin above doubles as proof that instrumentation does not
@@ -99,7 +99,6 @@
 #include "opt/random_search.h"
 #include "opt/surrogate.h"
 #include "sim/arrivals.h"
-#include "sim/sharded_sim.h"
 
 namespace clover::bench {
 namespace {
@@ -171,8 +170,8 @@ struct SuiteScale {
   double e2e_hours = 2.0;           // e2e_step span
   int fleet_gpus = 2;               // per fleet region
   double fleet_hours = 2.0;         // fleet_routing span
-  int shard_lanes = 8;              // sharded_sim lane count
-  double shard_seconds = 600.0;     // sharded_sim span
+  int lanes = 8;                    // fleet_lanes region count
+  double lane_seconds = 600.0;      // fleet_lanes span
   int screen_factor = 16;           // opt_screened oversampling factor
   double live_hours = 0.25;         // live_serving span (virtual)
   int mf_replicas = 25;             // meanfield_fleet: 4 presets tiled
@@ -187,8 +186,8 @@ SuiteScale ScaleFor(const std::string& suite) {
     scale.e2e_hours = 12.0;
     scale.fleet_gpus = 5;
     scale.fleet_hours = 12.0;
-    scale.shard_lanes = 16;
-    scale.shard_seconds = 3600.0;
+    scale.lanes = 16;
+    scale.lane_seconds = 3600.0;
     scale.live_hours = 1.0;
     scale.mf_replicas = 250;  // the ISSUE's 1000-region acceptance cell
   }
@@ -233,52 +232,61 @@ exp::ScenarioTiming RunSimHotPath(const RunnerFlags& flags,
 }
 
 // ---------------------------------------------------------------------------
-// sharded_sim: lane-parallel simulation with the epoch-barrier merge.
+// fleet_lanes: identical regions stepped in parallel by the fleet loop.
 // ---------------------------------------------------------------------------
-exp::ScenarioTiming RunShardedSim(const RunnerFlags& flags,
-                                  const SuiteScale& scale,
-                                  const carbon::CarbonTrace& trace) {
-  const models::ModelZoo& zoo = models::DefaultZoo();
-  const models::Application app = models::Application::kClassification;
-  // Small lanes, many of them: 2 GPUs per lane keeps the per-lane state
-  // tiny so the scenario measures the sharding machinery, not one lane.
-  const int lane_gpus = 2;
-  const serving::Deployment lane = serving::MakeBase(app, lane_gpus);
-  sim::ShardedSimOptions options;
-  options.num_lanes = scale.shard_lanes;
-  options.base.arrival_rate_qps =
-      sim::SizeArrivalRate(zoo, app, lane_gpus) * options.num_lanes;
-  options.base.seed = flags.seed;
+// `lanes` replicas of one preset at 2 GPUs each (small lanes, many of them,
+// so the row measures the parallel step rather than one region), BASE
+// under the static router, built through exp::MakeFleetCellConfig like
+// meanfield_fleet.
+fleet::FleetConfig LanesFleetConfig(const RunnerFlags& flags, int lanes,
+                                    double seconds, int threads) {
+  exp::CellSpec cell;
+  cell.mode = exp::CampaignMode::kFleet;
+  cell.scheme = core::Scheme::kBase;
+  cell.app = models::Application::kClassification;
+  cell.regions = {"us-west"};
+  cell.router = fleet::RouterPolicy::kStatic;
+  cell.region_replicas = lanes;
+  cell.gpus = 2;
+  cell.hours = seconds / 3600.0;
+  cell.seed = flags.seed;
+  fleet::FleetConfig config = exp::MakeFleetCellConfig(cell);
+  config.threads = threads;
+  return config;
+}
 
-  sim::ShardedClusterSim sharded(lane, zoo, &trace, options);
-  ThreadPool pool(flags.threads);
+std::string LanesNotes(int lanes, double seconds, int threads) {
+  return std::to_string(lanes) + " regions x 2 GPUs, " +
+         std::to_string(static_cast<int>(seconds)) + " simulated seconds, " +
+         std::to_string(threads) + " threads";
+}
+
+exp::ScenarioTiming RunFleetLanes(const RunnerFlags& flags,
+                                  const SuiteScale& scale) {
+  const models::ModelZoo& zoo = models::DefaultZoo();
   WallTimer timer;
-  sharded.AdvanceTo(scale.shard_seconds, &pool);
+  const fleet::FleetReport run = fleet::RunFleet(
+      LanesFleetConfig(flags, scale.lanes, scale.lane_seconds, flags.threads),
+      zoo);
   const double wall = timer.Seconds();
-  const sim::ShardedSummary summary = sharded.Summary();
 
   exp::ScenarioTiming timing;
-  timing.name = "sharded_sim";
+  timing.name = "fleet_lanes";
   timing.wall_seconds = wall;
-  timing.events = summary.sim_events;
+  timing.events = run.fleet.sim_events;
   timing.events_per_sec =
       wall > 0.0 ? static_cast<double>(timing.events) / wall : 0.0;
-  timing.sim_p50_ms = summary.p50_ms;
-  timing.sim_p99_ms = summary.p99_ms;
-  // The shard determinism contract: the thread count decides which slot
-  // advances which lane, never what any lane computes. A serial twin must
-  // reproduce the parallel run bit for bit (vacuous at --threads 1).
+  timing.sim_p50_ms = run.fleet.overall_p50_ms;
+  timing.sim_p99_ms = run.fleet.overall_p99_ms;
+  // The fleet determinism contract: the thread count decides which slot
+  // steps which region, never what any region computes (vacuous at
+  // --threads 1).
   if (flags.threads > 1) {
-    sim::ShardedClusterSim twin(lane, zoo, &trace, options);
-    twin.AdvanceTo(scale.shard_seconds, nullptr);
-    timing.deterministic =
-        sim::ShardedSummariesBitIdentical(summary, twin.Summary());
+    const fleet::FleetReport twin = fleet::RunFleet(
+        LanesFleetConfig(flags, scale.lanes, scale.lane_seconds, 1), zoo);
+    timing.deterministic = fleet::FleetReportsBitIdentical(run, twin);
   }
-  timing.notes = std::to_string(options.num_lanes) + " lanes x " +
-                 std::to_string(lane_gpus) + " GPUs, " +
-                 std::to_string(static_cast<int>(scale.shard_seconds)) +
-                 " simulated seconds, " + std::to_string(flags.threads) +
-                 " threads";
+  timing.notes = LanesNotes(scale.lanes, scale.lane_seconds, flags.threads);
   return timing;
 }
 
@@ -738,42 +746,34 @@ exp::ScenarioTiming RunLiveServing(const RunnerFlags& flags,
 // ---------------------------------------------------------------------------
 // obs_overhead: what the flight recorder costs when nobody is watching.
 // ---------------------------------------------------------------------------
-// Runs the sharded-sim workload twice: once with observability runtime-
-// disabled (each macro site pays one relaxed load — the closest in-process
-// stand-in for a CLOVER_OBS=OFF build) and once enabled-but-idle (counters
-// increment, spans record, nothing is dumped). The acceptance budget is
-// the enabled run staying within a few percent of the disabled one; the
-// ratio lands in the notes column rather than a hard gate because wall
-// time on shared CI is noisy. Bit-identity of the two summaries IS gated:
-// instrumentation must never perturb simulation results.
+// Runs a half-size fleet_lanes workload twice: once with observability
+// runtime-disabled (each macro site pays one relaxed load — the closest
+// in-process stand-in for a CLOVER_OBS=OFF build) and once enabled-but-idle
+// (counters increment, spans record, nothing is dumped). The acceptance
+// budget is the enabled run staying within a few percent of the disabled
+// one; the ratio lands in the notes column rather than a hard gate because
+// wall time on shared CI is noisy. Bit-identity of the two reports IS
+// gated: instrumentation must never perturb simulation results.
 exp::ScenarioTiming RunObsOverhead(const RunnerFlags& flags,
-                                   const SuiteScale& scale,
-                                   const carbon::CarbonTrace& trace) {
+                                   const SuiteScale& scale) {
   const models::ModelZoo& zoo = models::DefaultZoo();
-  const models::Application app = models::Application::kClassification;
-  const int lane_gpus = 2;
-  const serving::Deployment lane = serving::MakeBase(app, lane_gpus);
-  sim::ShardedSimOptions options;
-  options.num_lanes = std::max(scale.shard_lanes / 2, 2);
-  options.base.arrival_rate_qps =
-      sim::SizeArrivalRate(zoo, app, lane_gpus) * options.num_lanes;
-  options.base.seed = flags.seed;
-  const double span = scale.shard_seconds / 2.0;
+  const int lanes = std::max(scale.lanes / 2, 2);
+  const double span = scale.lane_seconds / 2.0;
 
-  auto run_once = [&](double seconds) {
-    sim::ShardedClusterSim sim(lane, zoo, &trace, options);
-    ThreadPool pool(flags.threads);
+  auto run_once = [&]() {
+    const fleet::FleetConfig config =
+        LanesFleetConfig(flags, lanes, span, flags.threads);
     WallTimer timer;
-    sim.AdvanceTo(seconds, &pool);
-    return std::make_pair(sim.Summary(), timer.Seconds());
+    fleet::FleetReport report = fleet::RunFleet(config, zoo);
+    return std::make_pair(std::move(report), timer.Seconds());
   };
   // Best-of-3 wall time per mode: at smoke scale a single run is a few
   // milliseconds, where scheduler noise dwarfs the relaxed-atomic cost
   // being measured. The minimum is the run with the least interference.
   auto run_best = [&]() {
-    auto best = run_once(span);
+    auto best = run_once();
     for (int i = 0; i < 2; ++i) {
-      const auto rerun = run_once(span);
+      const auto rerun = run_once();
       if (rerun.second < best.second) best.second = rerun.second;
     }
     return best;
@@ -781,36 +781,33 @@ exp::ScenarioTiming RunObsOverhead(const RunnerFlags& flags,
 
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(false);
-  run_once(span / 4.0);  // warm-up: page in code + pool threads, discard
-  const auto [off_summary, off_wall] = run_best();
+  run_once();  // warm-up: page in code + pool threads, discard
+  const auto [off_report, off_wall] = run_best();
   obs::SetEnabled(true);
   obs::Tracer::Get().Enable();
-  const auto [on_summary, on_wall] = run_best();
+  const auto [on_report, on_wall] = run_best();
   obs::SetEnabled(was_enabled);
 
   exp::ScenarioTiming timing;
   timing.name = "obs_overhead";
   timing.wall_seconds = on_wall;
-  timing.events = on_summary.sim_events;
+  timing.events = on_report.fleet.sim_events;
   timing.events_per_sec =
       on_wall > 0.0 ? static_cast<double>(timing.events) / on_wall : 0.0;
-  timing.sim_p50_ms = on_summary.p50_ms;
-  timing.sim_p99_ms = on_summary.p99_ms;
-  timing.deterministic =
-      sim::ShardedSummariesBitIdentical(off_summary, on_summary);
+  timing.sim_p50_ms = on_report.fleet.overall_p50_ms;
+  timing.sim_p99_ms = on_report.fleet.overall_p99_ms;
+  timing.deterministic = fleet::FleetReportsBitIdentical(off_report, on_report);
   const double off_rate =
-      off_wall > 0.0 ? static_cast<double>(off_summary.sim_events) / off_wall
-                     : 0.0;
+      off_wall > 0.0
+          ? static_cast<double>(off_report.fleet.sim_events) / off_wall
+          : 0.0;
   const double ratio =
       off_rate > 0.0 ? timing.events_per_sec / off_rate : 0.0;
   const double overhead_pct = ratio > 0.0 ? (1.0 - ratio) * 100.0 : 0.0;
   timing.notes = "enabled-idle vs disabled: " + TextTable::Num(ratio, 3) +
                  "x throughput (" + TextTable::Num(overhead_pct, 1) +
                  "% overhead, budget 3%), " +
-                 std::to_string(options.num_lanes) + " lanes x " +
-                 std::to_string(lane_gpus) + " GPUs, " +
-                 std::to_string(static_cast<int>(span)) +
-                 " simulated seconds";
+                 LanesNotes(lanes, span, flags.threads);
   return timing;
 }
 
@@ -838,7 +835,7 @@ int main(int argc, char** argv) {
   suite.seed = flags.seed;
 
   suite.scenarios.push_back(bench::RunSimHotPath(flags, scale, flat));
-  suite.scenarios.push_back(bench::RunShardedSim(flags, scale, flat));
+  suite.scenarios.push_back(bench::RunFleetLanes(flags, scale));
 
   const bench::OptContext context = bench::MakeOptContext(flags, scale, flat);
   suite.scenarios.push_back(bench::CompareSerialParallel(
@@ -902,7 +899,7 @@ int main(int argc, char** argv) {
   suite.scenarios.push_back(bench::RunFleetRouting(flags, scale));
   suite.scenarios.push_back(bench::RunMeanFieldFleet(flags, scale));
   suite.scenarios.push_back(bench::RunLiveServing(flags, scale, flat));
-  suite.scenarios.push_back(bench::RunObsOverhead(flags, scale, flat));
+  suite.scenarios.push_back(bench::RunObsOverhead(flags, scale));
 
   std::filesystem::create_directories(flags.out_dir);
   const std::string json_path =

@@ -1,12 +1,11 @@
 #include "bench_util.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <thread>
 
 #include "common/check.h"
+#include "exp/runner.h"
 
 namespace clover::bench {
 
@@ -45,31 +44,33 @@ carbon::CarbonTrace EvalTrace(carbon::TraceProfile profile,
   return GenerateTrace(profile, options);
 }
 
-carbon::CarbonTrace EvalTrace(const carbon::RegionPreset& preset,
-                              const Flags& flags) {
-  carbon::TraceGeneratorOptions options;
-  options.duration_hours = flags.hours;
-  options.seed = flags.seed + 41;  // matches RunFleet's trace seeding
-  return GenerateRegionTrace(preset, options);
+exp::CellSpec EvalCell(models::Application app, core::Scheme scheme,
+                       const Flags& flags) {
+  exp::CellSpec cell;
+  cell.app = app;
+  cell.scheme = scheme;
+  cell.trace = "ciso-march";
+  cell.hours = flags.hours;
+  cell.gpus = flags.gpus;
+  cell.seed = flags.seed;
+  return cell;
 }
 
-std::vector<core::RunReport> RunAll(
-    const std::vector<core::ExperimentConfig>& configs, int parallelism) {
-  std::vector<core::RunReport> reports(configs.size());
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    core::ExperimentHarness harness(&models::DefaultZoo());
-    for (;;) {
-      const std::size_t index = next.fetch_add(1);
-      if (index >= configs.size()) return;
-      reports[index] = harness.Run(configs[index]);
-    }
-  };
-  const int threads = std::max(1, parallelism);
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+std::vector<core::RunReport> RunCells(const std::string& name,
+                                      const std::vector<exp::CellSpec>& cells,
+                                      const Flags& flags) {
+  exp::CampaignSpec spec;
+  spec.name = name;
+  spec.threads = 2;
+  spec.cells = cells;
+  spec.grid_cells = static_cast<int>(cells.size());
+  exp::CampaignOptions options;
+  options.out_dir = flags.out_dir + "/campaign_" + name;
+  exp::CampaignResult result = exp::RunCampaign(spec, options);
+  std::vector<core::RunReport> reports;
+  reports.reserve(result.cells.size());
+  for (exp::CellOutcome& outcome : result.cells)
+    reports.push_back(std::move(outcome.report));
   return reports;
 }
 

@@ -4,7 +4,8 @@
 //   --hours <H>    evaluation-trace length (default 48, the paper's span)
 //   --gpus <N>     cluster size (default 10, the paper's testbed)
 //   --seed <S>     global seed (default 1)
-//   --out <dir>    directory for CSV dumps (default "bench_out")
+//   --out <dir>    directory for CSV dumps and campaign journals (default
+//                  "bench_out")
 // and prints aligned tables whose rows mirror the paper exhibit.
 #pragma once
 
@@ -15,6 +16,7 @@
 
 #include "carbon/trace_generator.h"
 #include "core/harness.h"
+#include "exp/campaign.h"
 
 namespace clover::bench {
 
@@ -31,15 +33,17 @@ Flags ParseFlags(int argc, char** argv);
 carbon::CarbonTrace EvalTrace(carbon::TraceProfile profile,
                               const Flags& flags);
 
-// Evaluation trace for a named region preset (fig16 and the fleet bench
-// share these inputs; see carbon::NamedRegionPresets).
-carbon::CarbonTrace EvalTrace(const carbon::RegionPreset& preset,
-                              const Flags& flags);
+// Single-cluster campaign cell on the CISO March trace at the flags'
+// duration, cluster size and seed.
+exp::CellSpec EvalCell(models::Application app, core::Scheme scheme,
+                       const Flags& flags);
 
-// Runs experiments in parallel across worker threads (each worker owns an
-// ExperimentHarness; determinism makes results independent of placement).
-std::vector<core::RunReport> RunAll(
-    const std::vector<core::ExperimentConfig>& configs, int parallelism = 2);
+// Runs the cells through the campaign executor (exp::RunCampaign, 2
+// threads) into "<out_dir>/campaign_<name>/" and returns their reports in
+// cell order.
+std::vector<core::RunReport> RunCells(const std::string& name,
+                                      const std::vector<exp::CellSpec>& cells,
+                                      const Flags& flags);
 
 // Ensures flags.out_dir exists and returns "<out_dir>/<file>".
 std::string OutPath(const Flags& flags, const std::string& file);

@@ -17,22 +17,14 @@ int main(int argc, char** argv) {
   // Measure the per-request energy saving of CLOVER vs BASE on a short run
   // (classification, CISO March) and convert at the paper's reference
   // conditions.
-  const double hours = std::min(flags.hours, 12.0);
-  const carbon::CarbonTrace trace =
-      bench::EvalTrace(carbon::TraceProfile::kCisoMarch, flags);
-  std::vector<core::ExperimentConfig> configs;
+  std::vector<exp::CellSpec> cells;
   for (core::Scheme scheme : {core::Scheme::kBase, core::Scheme::kClover}) {
-    core::ExperimentConfig config;
-    config.app = models::Application::kClassification;
-    config.scheme = scheme;
-    config.trace = &trace;
-    config.duration_hours = hours;
-    config.num_gpus = flags.gpus;
-    config.sizing_gpus = flags.gpus;
-    config.seed = flags.seed;
-    configs.push_back(config);
+    exp::CellSpec cell =
+        bench::EvalCell(models::Application::kClassification, scheme, flags);
+    cell.hours = std::min(flags.hours, 12.0);
+    cells.push_back(cell);
   }
-  const auto reports = bench::RunAll(configs);
+  const auto reports = bench::RunCells("estimate_daily_savings", cells, flags);
   const core::RunReport& base = reports[0];
   const core::RunReport& clover = reports[1];
 

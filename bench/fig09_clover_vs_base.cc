@@ -18,27 +18,15 @@ int main(int argc, char** argv) {
   bench::PrintBanner("Fig. 9 — Clover effectiveness vs BASE (CISO March)",
                      flags);
 
-  const carbon::CarbonTrace trace =
-      bench::EvalTrace(carbon::TraceProfile::kCisoMarch, flags);
   bench::WallTimer timer;
 
-  std::vector<core::ExperimentConfig> configs;
+  std::vector<exp::CellSpec> cells;
   for (models::Application app :
        {models::Application::kDetection, models::Application::kLanguage,
-        models::Application::kClassification}) {
-    for (core::Scheme scheme : {core::Scheme::kBase, core::Scheme::kClover}) {
-      core::ExperimentConfig config;
-      config.app = app;
-      config.scheme = scheme;
-      config.trace = &trace;
-      config.duration_hours = flags.hours;
-      config.num_gpus = flags.gpus;
-      config.sizing_gpus = flags.gpus;
-      config.seed = flags.seed;
-      configs.push_back(config);
-    }
-  }
-  const auto reports = bench::RunAll(configs);
+        models::Application::kClassification})
+    for (core::Scheme scheme : {core::Scheme::kBase, core::Scheme::kClover})
+      cells.push_back(bench::EvalCell(app, scheme, flags));
+  const auto reports = bench::RunCells("fig09", cells, flags);
 
   TextTable table({"application", "accuracy loss (rel %)",
                    "accuracy loss (abs points)",
@@ -71,7 +59,7 @@ int main(int argc, char** argv) {
   // perf footer and as machine-readable JSON next to the CSV dumps.
   exp::SuiteTiming suite;
   suite.suite = "fig09";
-  suite.threads = 2;  // bench::RunAll's default worker parallelism
+  suite.threads = 2;  // bench::RunCells' campaign threads
   suite.seed = flags.seed;
   suite.scenarios.push_back(
       exp::FromReports("fig09_clover_vs_base", timer.Seconds(), reports));

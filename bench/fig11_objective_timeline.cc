@@ -13,29 +13,17 @@ int main(int argc, char** argv) {
   bench::Flags flags = bench::ParseFlags(argc, argv);
   bench::PrintBanner("Fig. 11 — objective over time (CISO March)", flags);
 
-  const carbon::CarbonTrace trace =
-      bench::EvalTrace(carbon::TraceProfile::kCisoMarch, flags);
   const std::vector<core::Scheme> schemes = {
       core::Scheme::kCo2Opt, core::Scheme::kBlover, core::Scheme::kClover,
       core::Scheme::kOracle};
 
-  std::vector<core::ExperimentConfig> configs;
+  std::vector<exp::CellSpec> cells;
   for (models::Application app :
        {models::Application::kDetection, models::Application::kLanguage,
-        models::Application::kClassification}) {
-    for (core::Scheme scheme : schemes) {
-      core::ExperimentConfig config;
-      config.app = app;
-      config.scheme = scheme;
-      config.trace = &trace;
-      config.duration_hours = flags.hours;
-      config.num_gpus = flags.gpus;
-      config.sizing_gpus = flags.gpus;
-      config.seed = flags.seed;
-      configs.push_back(config);
-    }
-  }
-  const auto reports = bench::RunAll(configs);
+        models::Application::kClassification})
+    for (core::Scheme scheme : schemes)
+      cells.push_back(bench::EvalCell(app, scheme, flags));
+  const auto reports = bench::RunCells("fig11", cells, flags);
 
   CsvWriter csv(bench::OutPath(flags, "fig11_objective.csv"),
                 {"application", "scheme", "hour", "objective"});

@@ -13,22 +13,11 @@ int main(int argc, char** argv) {
   bench::PrintBanner("Fig. 12 — optimization overhead and SLA compliance",
                      flags);
 
-  const carbon::CarbonTrace trace =
-      bench::EvalTrace(carbon::TraceProfile::kCisoMarch, flags);
-
-  std::vector<core::ExperimentConfig> configs;
-  for (core::Scheme scheme : {core::Scheme::kBlover, core::Scheme::kClover}) {
-    core::ExperimentConfig config;
-    config.app = models::Application::kClassification;
-    config.scheme = scheme;
-    config.trace = &trace;
-    config.duration_hours = flags.hours;
-    config.num_gpus = flags.gpus;
-    config.sizing_gpus = flags.gpus;
-    config.seed = flags.seed;
-    configs.push_back(config);
-  }
-  const auto reports = bench::RunAll(configs);
+  std::vector<exp::CellSpec> cells;
+  for (core::Scheme scheme : {core::Scheme::kBlover, core::Scheme::kClover})
+    cells.push_back(bench::EvalCell(models::Application::kClassification,
+                                    scheme, flags));
+  const auto reports = bench::RunCells("fig12", cells, flags);
 
   // (a) optimization time by 8-hour interval.
   const int buckets = std::max(1, static_cast<int>(flags.hours / 8.0));

@@ -16,71 +16,53 @@ int main(int argc, char** argv) {
                      flags);
 
   // (a) constant 100 gCO2/kWh trace; a shorter span suffices since the
-  // intensity never changes after convergence.
+  // intensity never changes after convergence. Not a campaign trace, so
+  // the pairs run serially on one harness.
   const double lambda_hours = std::min(flags.hours, 12.0);
   const carbon::CarbonTrace flat100(
       "flat-100", 300.0,
       std::vector<double>(static_cast<std::size_t>(lambda_hours * 12 + 12),
                           100.0));
 
-  std::vector<core::ExperimentConfig> lambda_configs;
-  for (double lambda : {0.1, 0.5, 0.9}) {
-    for (core::Scheme scheme : {core::Scheme::kBase, core::Scheme::kClover}) {
-      core::ExperimentConfig config;
-      config.app = models::Application::kClassification;
-      config.scheme = scheme;
-      config.trace = &flat100;
-      config.duration_hours = lambda_hours;
-      config.num_gpus = flags.gpus;
-      config.sizing_gpus = flags.gpus;
-      config.lambda = lambda;
-      config.seed = flags.seed;
-      lambda_configs.push_back(config);
-    }
-  }
-  const auto lambda_reports = bench::RunAll(lambda_configs);
-
-  std::cout << "(a) adjusting lambda @100 gCO2/kWh:\n";
+  core::ExperimentHarness harness(&models::DefaultZoo());
   TextTable lambda_table({"lambda", "carbon save (%)", "accuracy gain (%)"});
-  for (std::size_t i = 0; i < lambda_reports.size(); i += 2) {
-    const core::RunReport& base = lambda_reports[i];
-    const core::RunReport& clover = lambda_reports[i + 1];
+  for (double lambda : {0.1, 0.5, 0.9}) {
+    core::ExperimentConfig config;
+    config.app = models::Application::kClassification;
+    config.scheme = core::Scheme::kBase;
+    config.trace = &flat100;
+    config.duration_hours = lambda_hours;
+    config.num_gpus = flags.gpus;
+    config.sizing_gpus = flags.gpus;
+    config.lambda = lambda;
+    config.seed = flags.seed;
+    const core::RunReport base = harness.Run(config);
+    config.scheme = core::Scheme::kClover;
+    const core::RunReport clover = harness.Run(config);
     lambda_table.AddRow(
-        {TextTable::Num(lambda_configs[i].lambda, 1),
+        {TextTable::Num(lambda, 1),
          TextTable::Num(clover.CarbonSavePctVs(base), 1),
          TextTable::Num(clover.AccuracyGainPctVs(base), 2)});
   }
+  std::cout << "(a) adjusting lambda @100 gCO2/kWh:\n";
   lambda_table.Print(std::cout);
 
   // (b) accuracy-loss thresholds over the CISO March trace.
-  const carbon::CarbonTrace trace =
-      bench::EvalTrace(carbon::TraceProfile::kCisoMarch, flags);
-  std::vector<core::ExperimentConfig> limit_configs;
-  {
-    core::ExperimentConfig base_config;
-    base_config.app = models::Application::kClassification;
-    base_config.scheme = core::Scheme::kBase;
-    base_config.trace = &trace;
-    base_config.duration_hours = flags.hours;
-    base_config.num_gpus = flags.gpus;
-    base_config.sizing_gpus = flags.gpus;
-    base_config.seed = flags.seed;
-    limit_configs.push_back(base_config);
-    for (double limit : {0.2, 0.4, 0.8, 1.6, 3.2}) {
-      core::ExperimentConfig config = base_config;
-      config.scheme = core::Scheme::kClover;
-      config.accuracy_limit_pct = limit;
-      limit_configs.push_back(config);
-    }
+  const models::Application app = models::Application::kClassification;
+  std::vector<exp::CellSpec> cells = {
+      bench::EvalCell(app, core::Scheme::kBase, flags)};
+  for (double limit : {0.2, 0.4, 0.8, 1.6, 3.2}) {
+    cells.push_back(bench::EvalCell(app, core::Scheme::kClover, flags));
+    cells.back().accuracy_limit_pct = limit;
   }
-  const auto limit_reports = bench::RunAll(limit_configs);
+  const auto limit_reports = bench::RunCells("fig14", cells, flags);
 
   std::cout << "\n(b) enforcing an accuracy-loss limit (CISO March):\n";
   TextTable limit_table({"allowed accuracy loss (%)", "carbon save (%)",
                          "actual accuracy loss (%)"});
   for (std::size_t i = 1; i < limit_reports.size(); ++i) {
     limit_table.AddRow(
-        {TextTable::Num(*limit_configs[i].accuracy_limit_pct, 1),
+        {TextTable::Num(*cells[i].accuracy_limit_pct, 1),
          TextTable::Num(limit_reports[i].CarbonSavePctVs(limit_reports[0]),
                         1),
          TextTable::Num(

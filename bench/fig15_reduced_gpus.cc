@@ -18,32 +18,31 @@ int main(int argc, char** argv) {
                      "10-GPU BASE)",
                      flags);
 
-  const carbon::CarbonTrace trace =
-      bench::EvalTrace(carbon::TraceProfile::kCisoMarch, flags);
   const std::vector<std::pair<const char*, int>> provisionings = {
       {"1/1x (10 GPUs)", 10}, {"1/2.5x (4 GPUs)", 4}, {"1/5x (2 GPUs)", 2}};
+  const std::vector<models::Application> apps = {
+      models::Application::kDetection, models::Application::kLanguage,
+      models::Application::kClassification};
 
-  for (models::Application app :
-       {models::Application::kDetection, models::Application::kLanguage,
-        models::Application::kClassification}) {
-    std::vector<core::ExperimentConfig> configs;
-    for (const auto& [label, gpus] : provisionings) {
-      (void)label;
+  std::vector<exp::CellSpec> cells;
+  for (models::Application app : apps) {
+    for (const auto& provisioning : provisionings) {
       for (core::Scheme scheme :
            {core::Scheme::kBase, core::Scheme::kClover}) {
-        core::ExperimentConfig config;
-        config.app = app;
-        config.scheme = scheme;
-        config.trace = &trace;
-        config.duration_hours = hours;
-        config.num_gpus = gpus;
-        config.sizing_gpus = 10;  // rate stays sized for the full testbed
-        config.seed = flags.seed;
-        configs.push_back(config);
+        exp::CellSpec cell = bench::EvalCell(app, scheme, flags);
+        cell.hours = hours;
+        cell.gpus = provisioning.second;
+        cell.sizing_gpus = 10;  // rate stays sized for the full testbed
+        cells.push_back(cell);
       }
     }
-    const auto reports = bench::RunAll(configs);
+  }
+  const auto all_reports = bench::RunCells("fig15", cells, flags);
 
+  const std::size_t per_app = 2 * provisionings.size();
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    const models::Application app = apps[a];
+    const core::RunReport* reports = &all_reports[a * per_app];
     // Steady-state p95: the median of per-window p95 over the second half
     // of the run. Clover has to discover the right configuration for the
     // shrunken fleet first (its initial BASE deployment is overloaded); the

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "common/check.h"
 #include "common/table.h"
 
 int main(int argc, char** argv) {
@@ -18,45 +17,30 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> region_names = {"us-west", "us-east",
                                                  "eu-west"};
-  std::vector<carbon::CarbonTrace> traces;
-  traces.reserve(region_names.size());
-  for (const std::string& name : region_names) {
-    const carbon::RegionPreset* preset = carbon::FindRegionPreset(name);
-    CLOVER_CHECK_MSG(preset != nullptr, "unknown region preset " << name);
-    traces.push_back(bench::EvalTrace(*preset, flags));
-  }
+  const std::vector<models::Application> apps = {
+      models::Application::kDetection, models::Application::kLanguage,
+      models::Application::kClassification};
 
-  std::vector<core::ExperimentConfig> configs;
-  for (const carbon::CarbonTrace& trace : traces) {
-    for (models::Application app :
-         {models::Application::kDetection, models::Application::kLanguage,
-          models::Application::kClassification}) {
+  std::vector<exp::CellSpec> cells;
+  for (const std::string& region : region_names) {
+    for (models::Application app : apps) {
       for (core::Scheme scheme :
            {core::Scheme::kBase, core::Scheme::kClover}) {
-        core::ExperimentConfig config;
-        config.app = app;
-        config.scheme = scheme;
-        config.trace = &trace;
-        config.duration_hours = flags.hours;
-        config.num_gpus = flags.gpus;
-        config.sizing_gpus = flags.gpus;
-        config.seed = flags.seed;
-        configs.push_back(config);
+        cells.push_back(bench::EvalCell(app, scheme, flags));
+        cells.back().trace = region;
       }
     }
   }
-  const auto reports = bench::RunAll(configs);
+  const auto reports = bench::RunCells("fig16", cells, flags);
 
   TextTable table({"region", "application", "carbon save (%)",
                    "accuracy loss (%)"});
   std::size_t index = 0;
-  for (const carbon::CarbonTrace& trace : traces) {
-    for (models::Application app :
-         {models::Application::kDetection, models::Application::kLanguage,
-          models::Application::kClassification}) {
+  for (const std::string& region : region_names) {
+    for (models::Application app : apps) {
       const core::RunReport& base = reports[index++];
       const core::RunReport& clover = reports[index++];
-      table.AddRow({trace.name(),
+      table.AddRow({region,
                     std::string(models::ApplicationName(app)),
                     TextTable::Num(clover.CarbonSavePctVs(base), 1),
                     TextTable::Num(clover.AccuracyLossPctVs(base), 2)});

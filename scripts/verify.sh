@@ -54,7 +54,7 @@ if command -v python3 >/dev/null; then
     --require-scenario fleet_routing \
     --require-scenario fault_recovery \
     --require-scenario e2e_step \
-    --require-scenario sharded_sim \
+    --require-scenario fleet_lanes \
     --require-scenario opt_screened \
     --require-scenario meanfield_fleet \
     --require-scenario live_serving \

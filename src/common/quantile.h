@@ -18,10 +18,8 @@
 // by exactly one simulator or runtime and protected by its owner.
 // ExactQuantile::Quantile reorders its sample buffer in place
 // (nth_element), so it is deliberately non-const — a shared estimator must
-// not be queried concurrently, and the signature says so. The sharded-sim
-// merge (sim/sharded_sim.h) relies on this: shard accumulators are only
-// read serially, after the epoch barrier. LogHistogramQuantile::Quantile
-// is a pure read and stays const.
+// not be queried concurrently, and the signature says so.
+// LogHistogramQuantile::Quantile is a pure read and stays const.
 #pragma once
 
 #include <cstddef>

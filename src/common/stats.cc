@@ -23,28 +23,4 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void RunningStats::Reset() { *this = RunningStats(); }
 
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-RunningStats WindowedSeries::Summary() const {
-  RunningStats s;
-  for (double v : values_) s.Add(v);
-  return s;
-}
-
 }  // namespace clover

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <vector>
 
 namespace clover {
 
@@ -22,9 +21,6 @@ class RunningStats {
 
   void Reset();
 
-  // Merges another accumulator into this one (parallel reduction).
-  void Merge(const RunningStats& other);
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -32,30 +28,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// A fixed-interval time series: values appended one per window. Used for
-// objective timelines, per-window p95, carbon-intensity series, etc.
-class WindowedSeries {
- public:
-  explicit WindowedSeries(double window_seconds)
-      : window_seconds_(window_seconds) {}
-
-  void Append(double value) { values_.push_back(value); }
-
-  double window_seconds() const { return window_seconds_; }
-  std::size_t size() const { return values_.size(); }
-  double at(std::size_t i) const { return values_.at(i); }
-  double TimeOf(std::size_t i) const {
-    return static_cast<double>(i) * window_seconds_;
-  }
-  const std::vector<double>& values() const { return values_; }
-
-  RunningStats Summary() const;
-
- private:
-  double window_seconds_;
-  std::vector<double> values_;
 };
 
 }  // namespace clover

@@ -646,7 +646,7 @@ fleet::FleetConfig MakeFleetCellConfig(const CellSpec& cell) {
     for (int k = 0; k < cell.region_replicas; ++k) {
       for (const fleet::RegionConfig& base : config.regions) {
         fleet::RegionConfig replica = base;
-        replica.preset.name += "." + std::to_string(k);
+        replica.preset.name.append(".").append(std::to_string(k));
         tiled.push_back(std::move(replica));
       }
     }

@@ -49,14 +49,6 @@ mig::SliceCounts ConfigGraph::SliceDemand() const {
   return demand;
 }
 
-std::vector<int> ConfigGraph::VariantCounts() const {
-  std::vector<int> counts(static_cast<std::size_t>(num_variants_), 0);
-  for (int v = 0; v < num_variants_; ++v)
-    for (mig::SliceType slice : mig::kAllSliceTypes)
-      counts[static_cast<std::size_t>(v)] += Weight(v, slice);
-  return counts;
-}
-
 std::uint64_t ConfigGraph::Key() const {
   // FNV-1a over weights with a SplitMix finalizer; weights are small ints
   // so this is collision-free in practice for the search-space sizes here

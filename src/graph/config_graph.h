@@ -38,9 +38,6 @@ class ConfigGraph {
   // cover with per-GPU layouts).
   mig::SliceCounts SliceDemand() const;
 
-  // Instance count per variant ordinal.
-  std::vector<int> VariantCounts() const;
-
   // Stable 64-bit key for the evaluation cache. Equal graphs have equal
   // keys; collisions are guarded by operator== at the caller.
   std::uint64_t Key() const;

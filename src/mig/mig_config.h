@@ -53,8 +53,6 @@ class MigConfigTable {
 
   const std::vector<MigLayout>& layouts() const { return layouts_; }
 
-  // The unpartitioned layout {7g} (paper configuration 1).
-  const MigLayout& FullGpu() const { return Layout(1); }
   // The finest layout, seven 1g slices (paper configuration 19).
   const MigLayout& FinestPartition() const { return Layout(NumLayouts()); }
 

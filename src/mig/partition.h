@@ -1,4 +1,4 @@
-// Per-GPU partition state and the cost of reconfiguring it.
+// The cost of reconfiguring a GPU's MIG partition.
 //
 // Repartitioning a GPU with MIG requires destroying the current GPU
 // instances, creating the new ones, and re-initializing an inference server
@@ -7,16 +7,7 @@
 // evaluation and it is included in all reported results (paper Sec. 4.3).
 #pragma once
 
-#include "mig/mig_config.h"
-
 namespace clover::mig {
-
-// The partition configuration of one physical GPU.
-struct GpuPartitionState {
-  int layout_id = 1;  // paper Fig. 1 numbering; 1 = unpartitioned {7g}
-
-  const MigLayout& layout() const { return MigConfigTable::Get().Layout(layout_id); }
-};
 
 // Reconfiguration latency model, calibrated to the order of magnitude of
 // `nvidia-smi mig` operations plus model-server restart observed in public

@@ -20,9 +20,4 @@ double PowerModel::DynamicWatts(const models::ModelVariant& variant,
          perf::kHostDynamicWattsPerGpu * slot_fraction;
 }
 
-double PowerModel::GpuWindowJoules(double window_seconds,
-                                   double dynamic_joules_sum) {
-  return StaticWattsPerGpu() * window_seconds + dynamic_joules_sum;
-}
-
 }  // namespace clover::power

@@ -29,11 +29,6 @@ class PowerModel {
   // `variant`, watts. Zero when the slice idles.
   static double DynamicWatts(const models::ModelVariant& variant,
                              mig::SliceType slice);
-
-  // Energy (joules) of one GPU over a window of `window_seconds`, given the
-  // summed busy-seconds×dynamic-watts of its slices.
-  static double GpuWindowJoules(double window_seconds,
-                                double dynamic_joules_sum);
 };
 
 }  // namespace clover::power

@@ -14,8 +14,8 @@
 //                            run on it through fleet::Region's backend
 //                            seam (fleet/meanfield_fleet.h).
 //   3. sim/cluster_sim.h   — full discrete-event simulation, request by
-//                            request (sharded across lanes by
-//                            sim/sharded_sim.h).
+//                            request (parallel across regions in
+//                            fleet::RunFleet).
 //
 // The fluid model collapses a Deployment into server classes — distinct
 // (service time, dynamic watts, accuracy) triples with a multiplicity —

@@ -132,20 +132,6 @@ TEST(RunningStats, WelfordMatchesClosedForm) {
   EXPECT_DOUBLE_EQ(stats.max(), 10.0);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  RngStream rng(23, "merge");
-  RunningStats all, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.NextGaussian() * 3.0 + 1.0;
-    all.Add(x);
-    (i % 2 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(left.count(), all.count());
-}
-
 TEST(Units, RoundTrips) {
   EXPECT_DOUBLE_EQ(JoulesToKwh(KwhToJoules(2.5)), 2.5);
   EXPECT_DOUBLE_EQ(KwhToJoules(1.0), 3.6e6);
@@ -179,14 +165,6 @@ TEST(Csv, EscapesAndWrites) {
                   std::istreambuf_iterator<char>());
   EXPECT_NE(all.find("\"with,comma\""), std::string::npos);
   EXPECT_NE(all.find("x,label"), std::string::npos);
-}
-
-TEST(WindowedSeries, TimesAndSummary) {
-  WindowedSeries series(300.0);
-  series.Append(1.0);
-  series.Append(3.0);
-  EXPECT_DOUBLE_EQ(series.TimeOf(1), 300.0);
-  EXPECT_DOUBLE_EQ(series.Summary().mean(), 2.0);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 // Tests for the geo-distributed fleet layer: router policy unit tests
 // (conservation of routed load, capacity-margin respect, latency-budget
 // filtering), the fleet determinism contract (bit-identical runs across
-// 1/2/8 threads), and the headline acceptance property — carbon-greedy
-// routing beats the static split on gCO2 over anti-correlated regions at
-// equal SLO attainment, with CLOVER adapting inside every region.
+// 1/2/8 threads), the fleet fold's conservation of region totals, and the
+// headline acceptance property — carbon-greedy routing beats the static
+// split on gCO2 over anti-correlated regions at equal SLO attainment, with
+// CLOVER adapting inside every region.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "carbon/trace_generator.h"
+#include "exp/campaign.h"
 #include "fleet/fleet_controller.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/region.h"
@@ -317,6 +319,61 @@ TEST(FleetReporting, ControllerSnapshotsDescribeRegions) {
   // Weight history covers the initial split plus one entry per interval.
   EXPECT_EQ(report.weight_history.size(),
             1u + static_cast<std::size_t>(3.0 * 3600.0 / 300.0));
+}
+
+// The fleet fold conserves its parts: run totals and every window's
+// counters, energy and carbon are the region-order sums of the region
+// reports, at any thread count.
+TEST(FleetReporting, AggregateConservesRegionTotals) {
+  exp::CellSpec cell;
+  cell.mode = exp::CampaignMode::kFleet;
+  cell.scheme = core::Scheme::kBase;
+  cell.regions = {"us-west"};
+  cell.router = RouterPolicy::kStatic;
+  cell.region_replicas = 3;
+  cell.gpus = 2;
+  cell.hours = 1.0;
+  cell.seed = 5;
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    FleetConfig config = exp::MakeFleetCellConfig(cell);
+    config.threads = threads;
+    const FleetReport report = RunFleet(config, models::DefaultZoo());
+    ASSERT_EQ(report.regions.size(), 3u);
+
+    std::uint64_t arrivals = 0, completions = 0, events = 0;
+    double energy = 0.0;
+    for (const RegionReport& region : report.regions) {
+      arrivals += region.report.arrivals;
+      completions += region.report.completions;
+      events += region.report.sim_events;
+      energy += region.report.total_energy_j;
+    }
+    EXPECT_GT(completions, 0u);
+    EXPECT_EQ(report.fleet.arrivals, arrivals);
+    EXPECT_EQ(report.fleet.completions, completions);
+    EXPECT_EQ(report.fleet.sim_events, events);
+    EXPECT_EQ(report.fleet.total_energy_j, energy);
+
+    ASSERT_EQ(report.fleet.windows.size(), 12u);
+    for (std::size_t w = 0; w < report.fleet.windows.size(); ++w) {
+      std::uint64_t window_arrivals = 0, window_completions = 0;
+      double window_energy = 0.0, window_carbon = 0.0;
+      for (const RegionReport& region : report.regions) {
+        ASSERT_LT(w, region.report.windows.size());
+        const sim::WindowRecord& window = region.report.windows[w];
+        window_arrivals += window.arrivals;
+        window_completions += window.completions;
+        window_energy += window.energy_j;
+        window_carbon += window.carbon_g;
+      }
+      const sim::WindowRecord& fleet_window = report.fleet.windows[w];
+      EXPECT_EQ(fleet_window.arrivals, window_arrivals);
+      EXPECT_EQ(fleet_window.completions, window_completions);
+      EXPECT_EQ(fleet_window.energy_j, window_energy);
+      EXPECT_EQ(fleet_window.carbon_g, window_carbon);
+    }
+  }
 }
 
 }  // namespace

@@ -14,9 +14,7 @@
 //     deterministic G/D/c system over the same arrivals), and within a
 //     bounded relative gap for CLOVER, whose twin serves the controller's
 //     probe configurations during optimization windows while the live
-//     executor keeps the last committed deployment;
-//   * bit-identical router weights when the fleet layer consumes the live
-//     snapshot (fleet/live_feed.h) instead of a simulated region.
+//     executor keeps the last committed deployment.
 //
 // Admission is configured unlimited and queue-depth shedding off: the
 // depth signal is wall-coupled load protection, not part of the
@@ -24,14 +22,10 @@
 // full schedule.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "carbon/trace.h"
-#include "common/units.h"
 #include "core/live_service.h"
-#include "fleet/live_feed.h"
-#include "fleet/router.h"
 #include "opt/annealing.h"
 
 namespace clover::core {
@@ -173,32 +167,6 @@ TEST(LiveDifferential, CloverControlDecisionsBitIdenticalAt1And8Workers) {
   EXPECT_GT(live1.stats.p99_virtual_ms, 0.0);
   EXPECT_LE(live1.stats.p99_virtual_ms,
             simulated.overall_p99_ms * 1.25);
-
-  // The fleet layer on live snapshots: equal stats must produce
-  // bit-identical router weights — routing is a pure function of the
-  // snapshot, so the live region and its twin steer the fleet the same.
-  fleet::LiveRegionInputs inputs;
-  inputs.name = "live-region";
-  inputs.ci = 120.0;
-  inputs.capacity_qps = live1.twin_report.arrival_rate_qps * 1.5;
-  inputs.latency_penalty_ms = 20.0;
-  inputs.window_s = HoursToSeconds(config.duration_hours);
-  const fleet::RegionSnapshot snap1 =
-      fleet::SnapshotFromLive(live1.stats, inputs);
-  const fleet::RegionSnapshot snap8 =
-      fleet::SnapshotFromLive(live8.stats, inputs);
-  fleet::RegionSnapshot other = snap1;
-  other.name = "sim-region";
-  other.ci = 320.0;
-  const std::unique_ptr<fleet::Router> router =
-      fleet::MakeRouter(fleet::RouterPolicy::kCarbonGreedy);
-  const std::vector<double> weights1 =
-      router->Split({snap1, other}, inputs.capacity_qps, {});
-  const std::vector<double> weights8 =
-      router->Split({snap8, other}, inputs.capacity_qps, {});
-  ASSERT_EQ(weights1.size(), weights8.size());
-  for (std::size_t i = 0; i < weights1.size(); ++i)
-    EXPECT_EQ(weights1[i], weights8[i]);
 }
 
 TEST(LiveDifferential, MultiConnectionReplayPreservesControlDecisions) {
