@@ -3,7 +3,7 @@
 # push. Usage: scripts/verify.sh [build-dir] (default: build).
 #
 # Opt-outs for a quick inner-loop run (CI always runs everything):
-#   CLOVER_SKIP_SANITIZE=1  skip the second (ASan+UBSan Debug) build
+#   CLOVER_SKIP_SANITIZE=1  skip the sanitizer builds (ASan+UBSan Debug, TSan)
 #   CLOVER_SKIP_CAMPAIGN=1  skip the campaign smoke run
 set -euo pipefail
 
@@ -118,10 +118,17 @@ if [[ "${CLOVER_SKIP_CAMPAIGN:-}" != 1 ]]; then
   fi
 fi
 
-# ASan + UBSan sweep of the unit suite (mirrors the CI sanitize job).
+# ASan + UBSan, then ThreadSanitizer, sweeps of the unit suite (mirror the
+# CI sanitize and tsan jobs).
 if [[ "${CLOVER_SKIP_SANITIZE:-}" != 1 ]]; then
   cmake -B "$BUILD_DIR-asan" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCLOVER_SANITIZE=ON
   cmake --build "$BUILD_DIR-asan" -j "$(nproc)"
   ctest --test-dir "$BUILD_DIR-asan" -L unit --output-on-failure -j "$(nproc)"
+
+  cmake -B "$BUILD_DIR-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCLOVER_LTO=OFF -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+  cmake --build "$BUILD_DIR-tsan" -j "$(nproc)"
+  ctest --test-dir "$BUILD_DIR-tsan" -L unit --output-on-failure -j "$(nproc)"
 fi

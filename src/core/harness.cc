@@ -154,110 +154,124 @@ Oracle& ExperimentHarness::OracleFor(models::Application app, int num_gpus,
 }
 
 RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
-  CLOVER_CHECK(config.trace != nullptr);
   const auto wall_start = std::chrono::steady_clock::now();
+  ExperimentRun run(this, config);
+  run.Finish();
+  RunReport report = run.Report();
+  report.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    wall_start)
+          .count();
+  return report;
+}
+
+ExperimentRun::ExperimentRun(ExperimentHarness* harness,
+                             const ExperimentConfig& config)
+    : config_(config) {
+  CLOVER_CHECK(harness != nullptr && config.trace != nullptr);
+  const models::ModelZoo* zoo = &harness->zoo();
   // Carbon-feed dropouts are repaired up front (last observation carried
   // forward, sim/fault_injector.h): the controller, accountant and oracle
   // all see the held reading, the way a production deployment would.
-  std::optional<carbon::CarbonTrace> repaired_trace;
   const carbon::CarbonTrace* trace = config.trace;
   if (!config.faults.trace_dropouts.empty()) {
-    repaired_trace = sim::ApplyTraceDropouts(*config.trace,
-                                             config.faults.trace_dropouts);
-    trace = &*repaired_trace;
+    repaired_trace_ = sim::ApplyTraceDropouts(*config.trace,
+                                              config.faults.trace_dropouts);
+    trace = &*repaired_trace_;
   }
-  const BaselineCalibration& calibration =
-      Calibrate(config.app, config.sizing_gpus, config.utilization_target,
-                config.arrival_rate_qps, config.seed);
+  calibration_ =
+      harness->Calibrate(config.app, config.sizing_gpus,
+                         config.utilization_target, config.arrival_rate_qps,
+                         config.seed);
 
-  opt::ObjectiveParams params;
-  params.lambda = config.lambda;
-  params.a_base = calibration.a_base;
-  params.c_base_g = CarbonGrams(calibration.energy_per_request_j,
-                                config.ci_base, perf::kPue);
-  params.l_tail_ms = calibration.l_tail_ms;
-  params.pue = perf::kPue;
-  params.max_accuracy_loss_pct = config.accuracy_limit_pct;
+  params_.lambda = config.lambda;
+  params_.a_base = calibration_.a_base;
+  params_.c_base_g = CarbonGrams(calibration_.energy_per_request_j,
+                                 config.ci_base, perf::kPue);
+  params_.l_tail_ms = calibration_.l_tail_ms;
+  params_.pue = perf::kPue;
+  params_.max_accuracy_loss_pct = config.accuracy_limit_pct;
 
   // Initial deployment per scheme (all schemes start at the paper's default
-  // configuration except CO2OPT, which is statically defined).
-  Oracle* oracle = nullptr;
+  // configuration except CO2OPT, which is statically defined, and ORACLE,
+  // which starts at its selection for the opening intensity).
   serving::Deployment initial = serving::MakeBase(config.app, config.num_gpus);
   if (config.scheme == Scheme::kCo2Opt) {
-    initial = serving::MakeCo2Opt(config.app, config.num_gpus, *zoo_);
+    initial = serving::MakeCo2Opt(config.app, config.num_gpus, *zoo);
   } else if (config.scheme == Scheme::kOracle) {
-    oracle = &OracleFor(config.app, config.num_gpus,
-                        calibration.arrival_rate_qps, config.seed);
-    graph::GraphMapper mapper(zoo_, config.num_gpus);
-    const OracleEntry& entry = oracle->Select(params, trace->At(0.0));
-    const auto deployment = mapper.ToDeployment(entry.graph);
+    oracle_ = &harness->OracleFor(config.app, config.num_gpus,
+                                  calibration_.arrival_rate_qps, config.seed);
+    oracle_monitor_.emplace(trace, config.controller.ci_trigger);
+    oracle_mapper_.emplace(zoo, config.num_gpus);
+    const OracleEntry& entry = oracle_->Select(params_, trace->At(0.0));
+    const auto deployment = oracle_mapper_->ToDeployment(entry.graph);
     CLOVER_CHECK(deployment.has_value());
     initial = *deployment;
+    oracle_monitor_->AcknowledgeOptimization(0.0);
   }
 
   sim::SimOptions sim_options;
-  sim_options.arrival_rate_qps = calibration.arrival_rate_qps;
+  sim_options.arrival_rate_qps = calibration_.arrival_rate_qps;
   sim_options.window_seconds = config.control_interval_s;
   sim_options.seed = config.seed;
   sim_options.burst = config.burst;
   sim_options.faults = config.faults;
   if (config.service_jitter_sigma.has_value())
     sim_options.service_jitter_sigma = *config.service_jitter_sigma;
-  sim::ClusterSim sim(initial, *zoo_, trace, sim_options);
+  sim_ = std::make_unique<sim::ClusterSim>(std::move(initial), *zoo, trace,
+                                           sim_options);
 
-  std::unique_ptr<Controller> controller;
   if (config.scheme == Scheme::kClover || config.scheme == Scheme::kBlover) {
     Controller::Options controller_options = config.controller;
     controller_options.scheme = config.scheme;
     controller_options.seed = config.seed;
-    controller = std::make_unique<Controller>(&sim, zoo_, trace, params,
-                                              controller_options);
+    controller_ = std::make_unique<Controller>(sim_.get(), zoo, trace,
+                                               params_, controller_options);
   }
-  carbon::CarbonMonitor oracle_monitor(trace, config.controller.ci_trigger);
-  graph::GraphMapper oracle_mapper(zoo_, config.num_gpus);
-  const mig::RepartitionCostModel kFreeReconfig{0.0, 0.0, 0.0};
-  if (config.scheme == Scheme::kOracle)
-    oracle_monitor.AcknowledgeOptimization(0.0);
 
-  // Control loop. An optimization invocation may overrun the control
-  // interval (its evaluations advance simulated time), so each step only
-  // advances when the target is ahead of the clock.
-  const double duration_s = HoursToSeconds(config.duration_hours);
-  for (double t = config.control_interval_s; t <= duration_s + 1e-9;
-       t += config.control_interval_s) {
-    const double target = std::min(t, duration_s);
-    if (target > sim.now()) sim.AdvanceTo(target);
-    if (controller != nullptr) {
-      controller->Step();
-    } else if (config.scheme == Scheme::kOracle &&
-               oracle_monitor.ShouldReoptimize(sim.now())) {
-      const OracleEntry& entry =
-          oracle->Select(params, oracle_monitor.IntensityAt(sim.now()));
-      const auto deployment = oracle_mapper.ToDeployment(entry.graph);
-      CLOVER_CHECK(deployment.has_value());
-      sim.ApplyDeployment(*deployment, kFreeReconfig);
-      oracle_monitor.AcknowledgeOptimization(sim.now());
-    }
+  duration_s_ = HoursToSeconds(config.duration_hours);
+  next_boundary_s_ = config.control_interval_s;
+}
+
+double ExperimentRun::FireNextBoundary() {
+  const double target = std::min(next_boundary_s_, duration_s_);
+  if (target > sim_->now()) sim_->AdvanceTo(target);
+  if (controller_ != nullptr) {
+    controller_->Step();
+  } else if (oracle_ != nullptr &&
+             oracle_monitor_->ShouldReoptimize(sim_->now())) {
+    const OracleEntry& entry = oracle_->Select(
+        params_, oracle_monitor_->IntensityAt(sim_->now()));
+    const auto deployment = oracle_mapper_->ToDeployment(entry.graph);
+    CLOVER_CHECK(deployment.has_value());
+    const mig::RepartitionCostModel kFreeReconfig{0.0, 0.0, 0.0};
+    sim_->ApplyDeployment(*deployment, kFreeReconfig);
+    oracle_monitor_->AcknowledgeOptimization(sim_->now());
   }
-  if (duration_s > sim.now()) sim.AdvanceTo(duration_s);
+  next_boundary_s_ += config_.control_interval_s;
+  return target;
+}
 
-  // Assemble the report.
+void ExperimentRun::Finish() {
+  while (HasNextBoundary()) FireNextBoundary();
+  if (duration_s_ > sim_->now()) sim_->AdvanceTo(duration_s_);
+  finished_ = true;
+}
+
+RunReport ExperimentRun::Report() const {
+  CLOVER_CHECK_MSG(finished_, "Report before Finish()");
   RunReport report;
-  report.app = config.app;
-  report.scheme = config.scheme;
-  report.arrival_rate_qps = calibration.arrival_rate_qps;
-  report.params = params;
-  FillRunReportFromSim(sim, params, calibration.energy_per_request_j,
+  report.app = config_.app;
+  report.scheme = config_.scheme;
+  report.arrival_rate_qps = calibration_.arrival_rate_qps;
+  report.params = params_;
+  FillRunReportFromSim(*sim_, params_, calibration_.energy_per_request_j,
                        &report);
-  if (controller != nullptr) {
-    report.optimizations = controller->history();
-    report.optimization_seconds = controller->total_optimization_seconds();
-    report.cache_hits = controller->cache_hits();
+  if (controller_ != nullptr) {
+    report.optimizations = controller_->history();
+    report.optimization_seconds = controller_->total_optimization_seconds();
+    report.cache_hits = controller_->cache_hits();
   }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   return report;
 }
 

@@ -10,13 +10,16 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "carbon/monitor.h"
 #include "carbon/trace.h"
 #include "core/controller.h"
 #include "core/oracle.h"
 #include "core/schemes.h"
+#include "graph/mapping.h"
 #include "models/zoo.h"
 #include "opt/objective.h"
 #include "sim/cluster_sim.h"
@@ -147,18 +150,77 @@ class ExperimentHarness {
                                        std::optional<double> rate_override,
                                        std::uint64_t seed);
 
-  // Runs one experiment end to end.
+  // Runs one experiment end to end (an ExperimentRun driven to the end).
   RunReport Run(const ExperimentConfig& config);
 
   // Builds (and caches) the profiled oracle for a setting.
   Oracle& OracleFor(models::Application app, int num_gpus,
                     double arrival_rate_qps, std::uint64_t seed);
 
+  const models::ModelZoo& zoo() const { return *zoo_; }
+
  private:
   const models::ModelZoo* zoo_;
   std::map<std::tuple<int, int, int, std::uint64_t>, BaselineCalibration>
       calibration_cache_;  // (app, gpus, rate_key, seed)
   std::map<std::tuple<int, int, int, std::uint64_t>, Oracle> oracle_cache_;
+};
+
+// One experiment in progress: the setup, control loop and report of
+// ExperimentHarness::Run, stepped one control boundary at a time.
+// ExperimentHarness::Run drives it to the end in one call; the live control
+// plane (core/live_control.h) fires each boundary as live traffic crosses
+// it, so the digital twin and the harness are one code path.
+class ExperimentRun {
+ public:
+  // Repairs carbon-feed dropouts, calibrates through `harness` (its cache
+  // is shared), and builds the cluster plus the scheme's control state.
+  ExperimentRun(ExperimentHarness* harness, const ExperimentConfig& config);
+  // Neither copyable nor movable: the cluster and the control state point
+  // into repaired_trace_.
+  ExperimentRun(const ExperimentRun&) = delete;
+  ExperimentRun& operator=(const ExperimentRun&) = delete;
+
+  // The control boundaries are t = I, 2I, ... (accumulated) while
+  // t <= D + 1e-9, each clamped to D.
+  bool HasNextBoundary() const {
+    return next_boundary_s_ <= duration_s_ + 1e-9;
+  }
+  double next_boundary_s() const { return next_boundary_s_; }
+
+  // Advances the cluster to min(t, D) when that is ahead of the clock (an
+  // optimization invocation may overrun the interval, since its evaluations
+  // advance simulated time), runs the scheme's control step (CLOVER/BLOVER:
+  // Controller::Step; ORACLE: reselect; BASE/CO2OPT: none), and moves to
+  // the next boundary. Returns min(t, D).
+  double FireNextBoundary();
+
+  // Fires the remaining boundaries and advances the cluster to D.
+  void Finish();
+
+  // The run's report (wall_seconds is the caller's). Requires Finish().
+  RunReport Report() const;
+
+  const ExperimentConfig& config() const { return config_; }
+  const BaselineCalibration& calibration() const { return calibration_; }
+  const sim::ClusterSim& sim() const { return *sim_; }
+  double duration_s() const { return duration_s_; }
+
+ private:
+  const ExperimentConfig config_;
+  // The dropout-repaired trace; the cluster and the control state read it.
+  std::optional<carbon::CarbonTrace> repaired_trace_;
+  BaselineCalibration calibration_;
+  opt::ObjectiveParams params_;
+  std::unique_ptr<sim::ClusterSim> sim_;
+  std::unique_ptr<Controller> controller_;  // CLOVER / BLOVER
+  // ORACLE: reselects at zero reconfiguration cost when the intensity moved.
+  Oracle* oracle_ = nullptr;
+  std::optional<carbon::CarbonMonitor> oracle_monitor_;
+  std::optional<graph::GraphMapper> oracle_mapper_;
+  double duration_s_ = 0.0;
+  double next_boundary_s_ = 0.0;
+  bool finished_ = false;
 };
 
 }  // namespace clover::core

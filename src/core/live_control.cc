@@ -1,31 +1,18 @@
 #include "core/live_control.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
-#include "common/units.h"
-#include "perf/calibration.h"
-#include "sim/fault_injector.h"
 
 namespace clover::core {
 namespace {
 
-bool SpecsEqual(const serving::InstanceSpec& a,
-                const serving::InstanceSpec& b) {
-  return a.gpu_index == b.gpu_index && a.slice_index == b.slice_index &&
-         a.slice == b.slice && a.variant_ordinal == b.variant_ordinal;
-}
-
-bool DeploymentsEqual(const serving::Deployment& a,
-                      const serving::Deployment& b) {
-  if (a.app != b.app) return false;
-  const auto& ia = a.Instances();
-  const auto& ib = b.Instances();
-  if (ia.size() != ib.size()) return false;
-  for (std::size_t i = 0; i < ia.size(); ++i)
-    if (!SpecsEqual(ia[i], ib[i])) return false;
-  return true;
+// The live path cannot serve ORACLE or CO2OPT; reject them before the twin
+// calibrates.
+const ExperimentConfig& CheckLiveScheme(const ExperimentConfig& config) {
+  CLOVER_CHECK_MSG(config.scheme == Scheme::kBase ||
+                       config.scheme == Scheme::kClover ||
+                       config.scheme == Scheme::kBlover,
+                   "live control plane serves BASE/CLOVER/BLOVER only");
+  return config;
 }
 
 }  // namespace
@@ -33,118 +20,36 @@ bool DeploymentsEqual(const serving::Deployment& a,
 LiveControlPlane::LiveControlPlane(ExperimentHarness* harness,
                                    const models::ModelZoo* zoo,
                                    const ExperimentConfig& config)
-    : config_(config), zoo_(zoo) {
-  CLOVER_CHECK(harness != nullptr && zoo != nullptr);
-  CLOVER_CHECK(config.trace != nullptr);
-  CLOVER_CHECK_MSG(config.scheme == Scheme::kBase ||
-                       config.scheme == Scheme::kClover ||
-                       config.scheme == Scheme::kBlover,
-                   "live control plane serves BASE/CLOVER/BLOVER only");
-
-  // Setup mirrors ExperimentHarness::Run statement for statement; any
-  // divergence here shows up as a RunReportsBitIdentical failure in the
-  // differential test, which is the point.
-  trace_ = config.trace;
-  if (!config.faults.trace_dropouts.empty()) {
-    repaired_trace_ = sim::ApplyTraceDropouts(*config.trace,
-                                              config.faults.trace_dropouts);
-    trace_ = &*repaired_trace_;
-  }
-  calibration_ =
-      harness->Calibrate(config.app, config.sizing_gpus,
-                         config.utilization_target, config.arrival_rate_qps,
-                         config.seed);
-
-  params_.lambda = config.lambda;
-  params_.a_base = calibration_.a_base;
-  params_.c_base_g = CarbonGrams(calibration_.energy_per_request_j,
-                                 config.ci_base, perf::kPue);
-  params_.l_tail_ms = calibration_.l_tail_ms;
-  params_.pue = perf::kPue;
-  params_.max_accuracy_loss_pct = config.accuracy_limit_pct;
-
-  initial_ = serving::MakeBase(config.app, config.num_gpus);
-  last_deployment_ = initial_;
-
-  sim::SimOptions sim_options;
-  sim_options.arrival_rate_qps = calibration_.arrival_rate_qps;
-  sim_options.window_seconds = config.control_interval_s;
-  sim_options.seed = config.seed;
-  sim_options.burst = config.burst;
-  sim_options.faults = config.faults;
-  if (config.service_jitter_sigma.has_value())
-    sim_options.service_jitter_sigma = *config.service_jitter_sigma;
-  twin_ = std::make_unique<sim::ClusterSim>(initial_, *zoo, trace_,
-                                            sim_options);
-
-  if (config.scheme == Scheme::kClover || config.scheme == Scheme::kBlover) {
-    Controller::Options controller_options = config.controller;
-    controller_options.scheme = config.scheme;
-    controller_options.seed = config.seed;
-    controller_ = std::make_unique<Controller>(twin_.get(), zoo, trace_,
-                                               params_, controller_options);
-  }
-
-  duration_s_ = HoursToSeconds(config.duration_hours);
-  next_boundary_s_ = config.control_interval_s;
-}
-
-LiveControlPlane::~LiveControlPlane() = default;
-
-void LiveControlPlane::FireBoundary(serving::VirtualExecutor* executor) {
-  const double target = std::min(next_boundary_s_, duration_s_);
-  if (target > twin_->now()) twin_->AdvanceTo(target);
-  if (controller_ != nullptr) {
-    controller_->Step();
-    if (!DeploymentsEqual(twin_->deployment(), last_deployment_)) {
-      last_deployment_ = twin_->deployment();
-      DeploymentCommit commit;
-      commit.boundary_s = target;
-      commit.deployment = last_deployment_;
-      commit.ready_s = executor != nullptr
-                           ? executor->ApplyDeployment(last_deployment_,
-                                                       *zoo_, target)
-                           : target;
-      commits_.push_back(std::move(commit));
-    }
-  }
-  next_boundary_s_ += config_.control_interval_s;
+    : zoo_(zoo),
+      run_(harness, CheckLiveScheme(config)),
+      initial_(run_.sim().deployment()),
+      last_deployment_(initial_) {
+  CLOVER_CHECK(zoo == &harness->zoo());
 }
 
 void LiveControlPlane::OnVirtualAdvance(double virtual_ts_s,
                                         serving::VirtualExecutor* executor) {
-  while (!finished_ && next_boundary_s_ <= duration_s_ + 1e-9 &&
-         virtual_ts_s > next_boundary_s_) {
+  while (virtual_ts_s > run_.next_boundary_s() && run_.HasNextBoundary())
     FireBoundary(executor);
-  }
+}
+
+void LiveControlPlane::FireBoundary(serving::VirtualExecutor* executor) {
+  const double boundary_s = run_.FireNextBoundary();
+  const serving::Deployment& twin = run_.sim().deployment();
+  if (serving::SameInstances(twin, last_deployment_)) return;
+  last_deployment_ = twin;
+  DeploymentCommit commit;
+  commit.boundary_s = boundary_s;
+  commit.deployment = twin;
+  commit.ready_s = executor != nullptr
+                       ? executor->ApplyDeployment(twin, *zoo_, boundary_s)
+                       : boundary_s;
+  commits_.push_back(std::move(commit));
 }
 
 void LiveControlPlane::Finish(serving::VirtualExecutor* executor) {
-  if (finished_) return;
-  while (next_boundary_s_ <= duration_s_ + 1e-9) FireBoundary(executor);
-  if (duration_s_ > twin_->now()) twin_->AdvanceTo(duration_s_);
-  finished_ = true;
-}
-
-RunReport LiveControlPlane::TwinReport() const {
-  CLOVER_CHECK_MSG(finished_, "TwinReport before Finish()");
-  RunReport report;
-  report.app = config_.app;
-  report.scheme = config_.scheme;
-  report.arrival_rate_qps = calibration_.arrival_rate_qps;
-  report.params = params_;
-  FillRunReportFromSim(*twin_, params_, calibration_.energy_per_request_j,
-                       &report);
-  if (controller_ != nullptr) {
-    report.optimizations = controller_->history();
-    report.optimization_seconds = controller_->total_optimization_seconds();
-    report.cache_hits = controller_->cache_hits();
-  }
-  return report;
-}
-
-const std::vector<OptimizationRun>& LiveControlPlane::history() const {
-  return controller_ != nullptr ? controller_->history() : empty_history_;
+  while (run_.HasNextBoundary()) FireBoundary(executor);
+  run_.Finish();
 }
 
 }  // namespace clover::core

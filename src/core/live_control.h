@@ -1,30 +1,19 @@
 // Digital-twin control plane for the live serving path.
 //
-// The differential requirement this PR is built around: the live server's
-// control decisions must be *bit-identical* to ExperimentHarness::Run's
-// on the same configuration. Rather than re-implementing the controller
-// against live telemetry and hoping the two converge, the live control
-// plane embeds the simulated system wholesale — a ClusterSim ("twin")
-// plus the same core::Controller — and advances it with exactly the
-// harness's control loop, boundary by boundary:
-//
-//   harness:  for (t = I; t <= D + 1e-9; t += I) {
-//               target = min(t, D);
-//               if (target > sim.now()) sim.AdvanceTo(target);
-//               controller.Step();
-//             }
-//
-// Here the same iteration runs incrementally, driven by the virtual
-// timestamps of live traffic (serving/live_server.h): when the request
-// stream crosses boundary t, the twin advances and the controller steps.
-// The floating-point accumulation of t, the min() clamp, and the
-// advance-only-forward guard are replicated verbatim — the twin consumes
-// its own Poisson arrival stream (the same (rate, seed) the replay
-// schedule was drawn from), so its state at every boundary matches the
-// harness run event for event, and the controller, being deterministic
-// given sim state, makes the same decisions. TwinReport() then satisfies
-// RunReportsBitIdentical against the harness, and the commit log gives
-// the live executor the same deployments at the same virtual times.
+// The live server's control decisions must be *bit-identical* to
+// ExperimentHarness::Run's on the same configuration. Rather than
+// re-implementing the controller against live telemetry, the live control
+// plane holds the simulated experiment itself — an ExperimentRun
+// (core/harness.h), the "twin" — and fires its control boundaries as the
+// virtual timestamps of live traffic (serving/live_server.h) cross them.
+// The boundary schedule, the advance and the controller step are the
+// harness's own code; only *when* a boundary fires is decided by traffic.
+// The twin consumes its own Poisson arrival stream (the same (rate, seed)
+// the replay schedule was drawn from), so its state at every boundary, and
+// every controller decision, depends on the config alone. TwinReport()
+// then satisfies RunReportsBitIdentical against the harness, and the
+// commit log gives the live executor the same deployments at the same
+// virtual times.
 //
 // Fidelity boundary, stated honestly: *decisions* are bit-identical by
 // construction; *live latencies* are close but not identical to the
@@ -40,9 +29,6 @@
 // synchronization (live_server.h).
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/harness.h"
@@ -54,14 +40,18 @@ class LiveControlPlane : public serving::LiveControlHook {
  public:
   // Supports kBase (no controller), kClover and kBlover. The config is
   // interpreted exactly as ExperimentHarness::Run does — calibration via
-  // `harness` (shared cache), trace dropout repair, sigma override.
+  // `harness` (shared cache), trace dropout repair, sigma override. `zoo`
+  // must be the harness's; the executor loads committed deployments from it.
   LiveControlPlane(ExperimentHarness* harness, const models::ModelZoo* zoo,
                    const ExperimentConfig& config);
-  ~LiveControlPlane() override;
 
-  double arrival_rate_qps() const { return calibration_.arrival_rate_qps; }
-  double duration_s() const { return duration_s_; }
-  double control_interval_s() const { return config_.control_interval_s; }
+  double arrival_rate_qps() const {
+    return run_.calibration().arrival_rate_qps;
+  }
+  double duration_s() const { return run_.duration_s(); }
+  double control_interval_s() const {
+    return run_.config().control_interval_s;
+  }
   const serving::Deployment& initial_deployment() const { return initial_; }
 
   // serving::LiveControlHook: fires every boundary strictly below
@@ -71,14 +61,12 @@ class LiveControlPlane : public serving::LiveControlHook {
                         serving::VirtualExecutor* executor) override;
 
   // Fires any boundaries the traffic never crossed and advances the twin
-  // to the end of the run (the harness's tail AdvanceTo). Call once,
-  // after the live server has stopped.
+  // to the end of the run. Call once, after the live server has stopped.
   void Finish(serving::VirtualExecutor* executor);
 
-  // The run report of the embedded twin, assembled field-for-field like
-  // ExperimentHarness::Run's — the object the differential test holds
-  // against the real harness with RunReportsBitIdentical.
-  RunReport TwinReport() const;
+  // The twin's run report — the object the differential test holds against
+  // the real harness with RunReportsBitIdentical. Requires Finish().
+  RunReport TwinReport() const { return run_.Report(); }
 
   struct DeploymentCommit {
     double boundary_s = 0.0;  // control boundary that produced the commit
@@ -86,27 +74,17 @@ class LiveControlPlane : public serving::LiveControlHook {
     serving::Deployment deployment;
   };
   const std::vector<DeploymentCommit>& commits() const { return commits_; }
-  const std::vector<OptimizationRun>& history() const;
 
  private:
+  // Fires the next boundary on the twin and commits a changed deployment
+  // to `executor`.
   void FireBoundary(serving::VirtualExecutor* executor);
 
-  ExperimentConfig config_;
   const models::ModelZoo* zoo_;
-  std::optional<carbon::CarbonTrace> repaired_trace_;
-  const carbon::CarbonTrace* trace_ = nullptr;
-  BaselineCalibration calibration_;
-  opt::ObjectiveParams params_;
-  serving::Deployment initial_;
-  std::unique_ptr<sim::ClusterSim> twin_;
-  std::unique_ptr<Controller> controller_;
-
-  double duration_s_ = 0.0;
-  double next_boundary_s_ = 0.0;  // the loop's accumulating t
-  bool finished_ = false;
+  ExperimentRun run_;
+  const serving::Deployment initial_;
   serving::Deployment last_deployment_;
   std::vector<DeploymentCommit> commits_;
-  std::vector<OptimizationRun> empty_history_;
 };
 
 }  // namespace clover::core

@@ -68,7 +68,7 @@ LiveRunResult RunLiveExperiment(ExperimentHarness* harness,
   result.stats = server.SnapshotStats();
   result.twin_report = control.TwinReport();
   result.commits = control.commits();
-  result.optimizations = control.history();
+  result.optimizations = result.twin_report.optimizations;
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

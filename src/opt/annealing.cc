@@ -8,60 +8,6 @@
 #include "obs/trace.h"
 
 namespace clover::opt {
-namespace {
-
-EvalRecord MakeRecord(const graph::ConfigGraph& graph,
-                      const EvalOutcome& outcome,
-                      const ObjectiveParams& params, double ci, int order) {
-  EvalRecord record;
-  record.graph = graph;
-  record.metrics = outcome.metrics;
-  record.f = ObjectiveF(outcome.metrics, params, ci);
-  record.delta_carbon_pct = DeltaCarbonPct(outcome.metrics, params, ci);
-  record.delta_accuracy_pct = DeltaAccuracyPct(outcome.metrics, params);
-  record.sla_ok = outcome.sla_ok;
-  record.from_cache = outcome.from_cache;
-  record.order = order;
-  return record;
-}
-
-// Tracks the incumbent best under the SLA-first rule.
-struct BestTracker {
-  bool has_any = false;
-  bool best_sla_ok = false;
-  double best_f = 0.0;
-  double best_violation_ms = 0.0;
-  graph::ConfigGraph best;
-  EvalMetrics best_metrics;
-
-  BestTracker() : best(models::Application::kClassification, 1) {}
-
-  // Returns true when this evaluation became the new best.
-  bool Offer(const graph::ConfigGraph& graph, const EvalMetrics& metrics,
-             double f, bool sla_ok, double l_tail_ms) {
-    const double violation_ms = std::max(0.0, metrics.p95_ms - l_tail_ms);
-    bool better = false;
-    if (!has_any) {
-      better = true;
-    } else if (sla_ok && !best_sla_ok) {
-      better = true;
-    } else if (sla_ok == best_sla_ok) {
-      better = sla_ok ? (f > best_f) : (violation_ms < best_violation_ms);
-    }
-    if (better) {
-      has_any = true;
-      best_sla_ok = sla_ok;
-      best_f = f;
-      best_violation_ms = violation_ms;
-      best = graph;
-      best_metrics = metrics;
-    }
-    return better;
-  }
-};
-
-}  // namespace
-
 std::vector<std::size_t> ScreenCandidates(
     Evaluator* surrogate, const std::vector<graph::ConfigGraph>& pool,
     const ObjectiveParams& params, double ci, std::size_t keep) {
@@ -113,6 +59,54 @@ std::vector<std::size_t> ScreenCandidates(
     survivors.push_back(ranked[i].index);
   std::sort(survivors.begin(), survivors.end());
   return survivors;
+}
+
+void ScreenPool(Evaluator* surrogate, const ObjectiveParams& params,
+                double ci, std::size_t keep,
+                std::vector<graph::ConfigGraph>* pool, int* screened) {
+  if (pool->size() <= keep) return;
+  const std::vector<std::size_t> survivors =
+      ScreenCandidates(surrogate, *pool, params, ci, keep);
+  *screened += static_cast<int>(pool->size() - survivors.size());
+  CLOVER_OBS_COUNT("opt.screened", pool->size() - survivors.size());
+  std::vector<graph::ConfigGraph> kept;
+  kept.reserve(survivors.size());
+  for (std::size_t index : survivors) kept.push_back(std::move((*pool)[index]));
+  *pool = std::move(kept);
+}
+
+bool FoldEvaluation(const graph::ConfigGraph& graph,
+                    const EvalOutcome& outcome, const ObjectiveParams& params,
+                    double ci, SearchResult* result) {
+  result->elapsed_seconds += outcome.cost_seconds;
+  if (outcome.from_cache) ++result->cache_hits;
+  EvalRecord record;
+  record.graph = graph;
+  record.metrics = outcome.metrics;
+  record.f = ObjectiveF(outcome.metrics, params, ci);
+  record.delta_carbon_pct = DeltaCarbonPct(outcome.metrics, params, ci);
+  record.delta_accuracy_pct = DeltaAccuracyPct(outcome.metrics, params);
+  record.sla_ok = outcome.sla_ok;
+  record.from_cache = outcome.from_cache;
+  record.order = static_cast<int>(result->evaluations.size());
+  const bool first = result->evaluations.empty();
+  result->evaluations.push_back(record);
+
+  bool better = first || (outcome.sla_ok && !result->best_sla_ok);
+  if (!better && outcome.sla_ok == result->best_sla_ok) {
+    better = outcome.sla_ok
+                 ? record.f > result->best_f
+                 : std::max(0.0, outcome.metrics.p95_ms - params.l_tail_ms) <
+                       std::max(0.0, result->best_metrics.p95_ms -
+                                         params.l_tail_ms);
+  }
+  if (better) {
+    result->best = graph;
+    result->best_metrics = outcome.metrics;
+    result->best_f = record.f;
+    result->best_sla_ok = outcome.sla_ok;
+  }
+  return better;
 }
 
 bool SearchResultsBitIdentical(const SearchResult& a, const SearchResult& b) {
@@ -179,9 +173,6 @@ SearchResult SimulatedAnnealing::Run(
     const ObjectiveParams& params, double ci) {
   CLOVER_CHECK(!seeds.empty());
   SearchResult result;
-  BestTracker tracker;
-
-  int order = 0;
   graph::ConfigGraph center = seeds.front();
   double center_h = 0.0;
   bool have_center = false;
@@ -190,14 +181,9 @@ SearchResult SimulatedAnnealing::Run(
   // center selection. Returns false once the time budget is exhausted.
   auto fold_seed = [&](const graph::ConfigGraph& seed,
                        const EvalOutcome& outcome) {
-    result.elapsed_seconds += outcome.cost_seconds;
-    if (outcome.from_cache) ++result.cache_hits;
-    EvalRecord record = MakeRecord(seed, outcome, params, ci, order++);
-    result.evaluations.push_back(record);
-    tracker.Offer(seed, outcome.metrics, record.f, outcome.sla_ok,
-                  params.l_tail_ms);
-    const double h =
-        AnnealEnergyH(record.f, outcome.metrics.p95_ms, params.l_tail_ms);
+    FoldEvaluation(seed, outcome, params, ci, &result);
+    const double h = AnnealEnergyH(result.evaluations.back().f,
+                                   outcome.metrics.p95_ms, params.l_tail_ms);
     if (!have_center || h < center_h) {
       center = seed;
       center_h = h;
@@ -223,28 +209,24 @@ SearchResult SimulatedAnnealing::Run(
 
   double temperature = options_.t0;
   int consecutive_no_improve = 0;
+  auto evaluated = [&] { return static_cast<int>(result.evaluations.size()); };
   auto stopped = [&] {
     return result.elapsed_seconds >= options_.time_budget_s ||
            consecutive_no_improve >= options_.no_improve_limit ||
-           order >= options_.max_evaluations;
+           evaluated() >= options_.max_evaluations;
   };
 
   // Serial fold of one evaluated proposal: record, best-tracking, the
   // acceptance chain against the evolving center, and one cooling step.
   auto fold_proposal = [&](const graph::ConfigGraph& candidate,
                            const EvalOutcome& outcome) {
-    result.elapsed_seconds += outcome.cost_seconds;
-    if (outcome.from_cache) ++result.cache_hits;
-    EvalRecord record = MakeRecord(candidate, outcome, params, ci, order++);
-    result.evaluations.push_back(record);
-
     const bool improved =
-        tracker.Offer(candidate, outcome.metrics, record.f, outcome.sla_ok,
-                      params.l_tail_ms);
+        FoldEvaluation(candidate, outcome, params, ci, &result);
     consecutive_no_improve = improved ? 0 : consecutive_no_improve + 1;
 
     const double candidate_h =
-        AnnealEnergyH(record.f, outcome.metrics.p95_ms, params.l_tail_ms);
+        AnnealEnergyH(result.evaluations.back().f, outcome.metrics.p95_ms,
+                      params.l_tail_ms);
     bool accept = candidate_h <= center_h;
     if (!accept) {
       const double probability =
@@ -273,7 +255,8 @@ SearchResult SimulatedAnnealing::Run(
     // the search ends only when a round opens with zero proposals (the
     // current center's neighborhood is exhausted, matching the legacy
     // serial termination).
-    const int round = std::min(batch_size, options_.max_evaluations - order);
+    const int round =
+        std::min(batch_size, options_.max_evaluations - evaluated());
     const bool screening = surrogate_ != nullptr && options_.screen_factor > 1;
     const int pool_size = screening ? round * options_.screen_factor : round;
     proposals.clear();
@@ -285,21 +268,10 @@ SearchResult SimulatedAnnealing::Run(
     if (proposals.empty()) break;  // neighborhood exhausted
 
     // Screen-then-simulate: the surrogate ranks the oversampled pool and
-    // only the top round-size slice pays for a simulation. Survivors stay
-    // in sampling order, so the fold below is unchanged.
-    if (screening && proposals.size() > static_cast<std::size_t>(round)) {
-      const std::vector<std::size_t> survivors =
-          ScreenCandidates(surrogate_, proposals, params, ci,
-                           static_cast<std::size_t>(round));
-      result.screened +=
-          static_cast<int>(proposals.size() - survivors.size());
-      CLOVER_OBS_COUNT("opt.screened", proposals.size() - survivors.size());
-      std::vector<graph::ConfigGraph> kept;
-      kept.reserve(survivors.size());
-      for (std::size_t index : survivors)
-        kept.push_back(std::move(proposals[index]));
-      proposals = std::move(kept);
-    }
+    // only the top round-size slice pays for a simulation.
+    if (screening)
+      ScreenPool(surrogate_, params, ci, static_cast<std::size_t>(round),
+                 &proposals, &result.screened);
 
     std::vector<EvalOutcome> outcomes;
     {
@@ -311,12 +283,8 @@ SearchResult SimulatedAnnealing::Run(
       fold_proposal(proposals[i], outcomes[i]);
   }
 
-  CLOVER_CHECK(tracker.has_any);
+  CLOVER_CHECK(!result.evaluations.empty());
   CLOVER_OBS_COUNT("opt.evaluated", result.evaluations.size());
-  result.best = tracker.best;
-  result.best_metrics = tracker.best_metrics;
-  result.best_f = tracker.best_f;
-  result.best_sla_ok = tracker.best_sla_ok;
   return result;
 }
 

@@ -96,6 +96,24 @@ std::vector<std::size_t> ScreenCandidates(
     Evaluator* surrogate, const std::vector<graph::ConfigGraph>& pool,
     const ObjectiveParams& params, double ci, std::size_t keep);
 
+// The screen step of both searches: when `pool` holds more than `keep`
+// candidates, filters it in place to ScreenCandidates' survivors (sampling
+// order kept) and adds the number dropped to `*screened`.
+void ScreenPool(Evaluator* surrogate, const ObjectiveParams& params,
+                double ci, std::size_t keep,
+                std::vector<graph::ConfigGraph>* pool, int* screened);
+
+// The fold of both searches, applied once per evaluated candidate in
+// evaluation order: appends the candidate's record (its order is its
+// position in `evaluations`), adds its cost and cache hit, and applies the
+// SLA-first best rule — the first candidate is the best; a compliant
+// candidate beats a violating incumbent; compliant candidates compete on
+// higher f, violating ones on smaller p95 excess over the SLA; a tie keeps
+// the incumbent. Returns true when the candidate became the new best.
+bool FoldEvaluation(const graph::ConfigGraph& graph,
+                    const EvalOutcome& outcome, const ObjectiveParams& params,
+                    double ci, SearchResult* result);
+
 class SimulatedAnnealing {
  public:
   struct Options {

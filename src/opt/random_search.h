@@ -11,9 +11,10 @@
 // Execution model. Candidates are consumed in rounds of
 // Options::batch_size: each round samples its candidates sequentially from
 // the search's own RNG stream, hands the whole batch to a BatchEvaluator,
-// then folds the outcomes back IN SAMPLING ORDER — best-tracking, budget
-// accounting and the no-improve/termination checks all happen during the
-// serial fold. That fold order is the documented serial semantics:
+// then folds the outcomes back IN SAMPLING ORDER through the annealer's
+// fold (FoldEvaluation, annealing.h: record, budget accounting, SLA-first
+// best-tracking), with the no-improve/termination checks between folds.
+// That fold order is the documented serial semantics:
 //   * batch_size == 1 reproduces the legacy one-at-a-time algorithm
 //     bit-for-bit;
 //   * for a fixed (options, seed), results are bit-identical no matter how
@@ -55,7 +56,7 @@ class RandomSearch {
     // screen_factor = K > 1, each round samples K times as many candidates,
     // ranks them with the surrogate, and simulates only the top round-size
     // slice. 1 disables screening. The start configuration is never
-    // screened. See annealing.h (ScreenCandidates) for the contract.
+    // screened. See annealing.h (ScreenPool) for the contract.
     int screen_factor = 1;
   };
 

@@ -30,6 +30,21 @@ int Deployment::NumInstances() const {
   return count;
 }
 
+bool SameInstances(const Deployment& a, const Deployment& b) {
+  if (a.app != b.app) return false;
+  const std::vector<InstanceSpec> ia = a.Instances();
+  const std::vector<InstanceSpec> ib = b.Instances();
+  if (ia.size() != ib.size()) return false;
+  for (std::size_t i = 0; i < ia.size(); ++i) {
+    if (ia[i].gpu_index != ib[i].gpu_index ||
+        ia[i].slice_index != ib[i].slice_index ||
+        ia[i].slice != ib[i].slice ||
+        ia[i].variant_ordinal != ib[i].variant_ordinal)
+      return false;
+  }
+  return true;
+}
+
 void Deployment::Validate(const models::ModelZoo& zoo) const {
   CLOVER_CHECK_MSG(!gpus.empty(), "deployment has no GPUs");
   const models::ModelFamily& family = zoo.ForApplication(app);

@@ -59,6 +59,12 @@ struct Deployment {
   std::string ToString(const models::ModelZoo& zoo) const;
 };
 
+// True iff `a` and `b` serve the same application with the same instance
+// list: gpu, slice index, slice type and variant of every occupied slice.
+// A layout change that leaves every instance in place compares equal, so it
+// is not a commit for a live executor.
+bool SameInstances(const Deployment& a, const Deployment& b);
+
 // --- Canonical deployments used by the paper's schemes (Sec. 5.1) ---
 
 // Same layout on every GPU, same variant on every slice.

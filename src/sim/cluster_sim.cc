@@ -153,12 +153,6 @@ void ClusterSim::ClearAvailable(std::size_t position) {
   avail_[position >> 6] &= ~(1ULL << (position & 63));
 }
 
-double ClusterSim::NextEventTime() const {
-  double t = std::min(pending_arrival_, NextFaultTime());
-  if (!events_.Empty()) t = std::min(t, events_.Top().time);
-  return t;
-}
-
 double ClusterSim::NextFaultTime() const {
   return next_fault_ < fault_transitions_.size()
              ? fault_transitions_[next_fault_].time
@@ -167,13 +161,10 @@ double ClusterSim::NextFaultTime() const {
 
 void ClusterSim::AdvanceTo(double t) {
   CLOVER_CHECK_MSG(t >= now_, "AdvanceTo moving backwards");
-  // Merged single-scan dispatch: the three event sources (fault transition,
+  // Single-scan dispatch: the three event sources (fault transition,
   // pending arrival, completion/wake heap) are polled once per iteration
-  // and the winner is dispatched inline, instead of a NextEventTime() probe
-  // followed by ProcessOneEvent() re-deriving the same three minima. The
-  // semantics are identical to ProcessOneEvent (which ApplyDeployment's
-  // drain loop still uses): a window closes before any event at or past its
-  // end, and ties break fault <= arrival <= completion.
+  // and the winner is dispatched inline. A window closes before any event
+  // at or past its end, and ties break fault <= arrival <= completion.
   //
   // `window_end` and `next_fault` change only at a window close / fault
   // dispatch respectively, so they are hoisted out of the per-event loop
@@ -215,32 +206,6 @@ void ClusterSim::AdvanceTo(double t) {
       } else {
         HandleCompletion(event);
       }
-    }
-  }
-}
-
-void ClusterSim::ProcessOneEvent() {
-  const double next_completion =
-      events_.Empty() ? std::numeric_limits<double>::infinity()
-                      : events_.Top().time;
-  const double next_fault = NextFaultTime();
-  if (next_fault <= pending_arrival_ && next_fault <= next_completion) {
-    now_ = next_fault;
-    ApplyFaultTransition(fault_transitions_[next_fault_++]);
-    return;
-  }
-  if (pending_arrival_ <= next_completion) {
-    const double t = pending_arrival_;
-    pending_arrival_ = arrivals_.NextArrivalTime();
-    now_ = t;
-    HandleArrival(t);
-  } else {
-    const Event event = events_.Pop();
-    now_ = event.time;
-    if (event.instance_id == kWakeEventId) {
-      HandleWake(event.time);
-    } else {
-      HandleCompletion(event);
     }
   }
 }
@@ -382,6 +347,28 @@ double ClusterSim::ApplyDeployment(const serving::Deployment& next,
       serving::PlanReconfiguration(deployment_, next, *zoo_, cost);
   if (plan.Empty()) return now_;
 
+  // Drain: stop dispatching to affected GPUs, let in-flight work finish.
+  // Draining instances take no new work, so the drain ends at the latest
+  // in-flight completion — or earlier, if a fault transition on the way
+  // aborts the last of them; hence each advance stops at the next fault.
+  for (const serving::GpuReconfigPlan& gpu : plan.gpus) {
+    for (std::size_t i = 0; i < instances_.size(); ++i) {
+      if (instances_[i].gpu_index != gpu.gpu_index) continue;
+      instances_[i].draining = true;
+      ClearAvailable(index_to_position_[i]);
+    }
+  }
+  for (;;) {
+    double drain_end = -1.0;
+    for (const SimInstance& instance : instances_)
+      if (instance.draining && instance.busy)
+        drain_end = std::max(drain_end, instance.service_end_s);
+    if (drain_end < 0.0) break;
+    AdvanceTo(std::min(drain_end, NextFaultTime()));
+  }
+
+  // The drain may have closed windows, which resets the arena: allocate the
+  // per-GPU plan arrays only now.
   const auto num_gpus = static_cast<std::size_t>(deployment_.NumGpus());
   bool* affected = arena_.AllocateArray<bool>(num_gpus);
   double* offline_s = arena_.AllocateArray<double>(num_gpus);
@@ -391,21 +378,6 @@ double ClusterSim::ApplyDeployment(const serving::Deployment& next,
     affected[static_cast<std::size_t>(gpu.gpu_index)] = true;
     offline_s[static_cast<std::size_t>(gpu.gpu_index)] = gpu.offline_seconds;
   }
-
-  // Drain: stop dispatching to affected GPUs, let in-flight work finish.
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    SimInstance& instance = instances_[i];
-    if (affected[static_cast<std::size_t>(instance.gpu_index)]) {
-      instance.draining = true;
-      ClearAvailable(index_to_position_[i]);
-    }
-  }
-  auto any_affected_busy = [&] {
-    for (const SimInstance& instance : instances_)
-      if (instance.draining && instance.busy) return true;
-    return false;
-  };
-  while (any_affected_busy()) ProcessOneEvent();
 
   // Swap: keep unaffected instances (with their state), create new ones for
   // affected GPUs with their per-GPU online time.

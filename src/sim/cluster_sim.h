@@ -185,8 +185,6 @@ class ClusterSim {
   void RefreshAvailability();
 
   // Event processing.
-  double NextEventTime() const;
-  void ProcessOneEvent();  // requires an event at/before +inf
   void CloseWindow();
   void HandleArrival(double t);
   void HandleCompletion(const Event& event);
@@ -208,7 +206,6 @@ class ClusterSim {
   }
 
   // Availability bitmask over dispatch positions.
-  bool AnyAvailable() const { return (avail_[0] | avail_[1]) != 0; }
   int FirstAvailablePosition() const;
   void SetAvailable(std::size_t position);
   void ClearAvailable(std::size_t position);

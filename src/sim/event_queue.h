@@ -12,10 +12,9 @@
 // The public interface still speaks `Event` records.
 //
 // Hot-path notes: Push/Pop are fully inline (the simulator calls them once
-// per completion, tens of millions of times per wall-second) and the
-// backing lanes are pooled — Reserve() pre-sizes them once per simulator
-// construction and Clear() keeps the capacity, so steady-state operation
-// never allocates.
+// per completion, tens of millions of times per wall-second) and Reserve()
+// pre-sizes the backing lanes once per simulator construction, so
+// steady-state operation never allocates.
 //
 // Thread-safety: none; each ClusterSim owns its queue and a simulator is
 // single-threaded by design (parallelism happens one level up, across
@@ -55,8 +54,6 @@ class EventQueue {
   // merge needs, read without assembling an Event.
   double TopTime() const { return times_.front(); }
 
-  Event Top() const { return Event{times_.front(), ids_.front(), aux_.front()}; }
-
   Event Pop() {
     CLOVER_DCHECK(!times_.empty());
     const Event top{times_.front(), ids_.front(), aux_.front()};
@@ -72,12 +69,6 @@ class EventQueue {
   }
 
   bool Empty() const { return times_.empty(); }
-  std::size_t Size() const { return times_.size(); }
-  void Clear() {  // keeps capacity (pooled storage)
-    times_.clear();
-    ids_.clear();
-    aux_.clear();
-  }
 
   // Pre-sizes the backing lanes so steady-state Push never reallocates.
   void Reserve(std::size_t capacity) {

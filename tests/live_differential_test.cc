@@ -31,21 +31,6 @@
 namespace clover::core {
 namespace {
 
-bool DeploymentsEqual(const serving::Deployment& a,
-                      const serving::Deployment& b) {
-  const std::vector<serving::InstanceSpec> sa = a.Instances();
-  const std::vector<serving::InstanceSpec> sb = b.Instances();
-  if (a.app != b.app || sa.size() != sb.size()) return false;
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    if (sa[i].gpu_index != sb[i].gpu_index ||
-        sa[i].slice_index != sb[i].slice_index ||
-        sa[i].slice != sb[i].slice ||
-        sa[i].variant_ordinal != sb[i].variant_ordinal)
-      return false;
-  }
-  return true;
-}
-
 void ExpectLiveRunsBitIdentical(const LiveRunResult& a,
                                 const LiveRunResult& b) {
   EXPECT_TRUE(RunReportsBitIdentical(a.twin_report, b.twin_report));
@@ -60,8 +45,8 @@ void ExpectLiveRunsBitIdentical(const LiveRunResult& a,
   for (std::size_t i = 0; i < a.commits.size(); ++i) {
     EXPECT_EQ(a.commits[i].boundary_s, b.commits[i].boundary_s);
     EXPECT_EQ(a.commits[i].ready_s, b.commits[i].ready_s);
-    EXPECT_TRUE(
-        DeploymentsEqual(a.commits[i].deployment, b.commits[i].deployment));
+    EXPECT_TRUE(serving::SameInstances(a.commits[i].deployment,
+                                       b.commits[i].deployment));
   }
   // Every optimizer invocation, decision for decision.
   ASSERT_EQ(a.optimizations.size(), b.optimizations.size());

@@ -304,6 +304,76 @@ TEST(SimulatedAnnealing, NoImproveTermination) {
   EXPECT_LT(result.evaluations.size(), 400u);
 }
 
+// The fold both searches share, fed hand-made outcomes: the SLA-first best
+// rule, the record it appends, and the cost and cache accounting.
+TEST(FoldEvaluation, AppliesTheSlaFirstBestRule) {
+  const ObjectiveParams params = Fig6Params();  // SLA: p95 <= 100 ms
+  const double ci = 200.0;
+  auto candidate = [](int weight) {
+    graph::ConfigGraph graph(Application::kClassification, 4);
+    graph.SetWeight(0, mig::SliceType::k7g, weight);
+    return graph;
+  };
+  auto outcome = [](double accuracy, double p95_ms, bool from_cache) {
+    EvalOutcome result;
+    result.metrics = Fig6Metrics(1.0, accuracy);
+    result.metrics.p95_ms = p95_ms;
+    result.sla_ok = p95_ms <= 100.0;
+    result.from_cache = from_cache;
+    result.cost_seconds = from_cache ? 0.0 : 2.0;
+    return result;
+  };
+  SearchResult result;
+  auto fold = [&](int weight, double accuracy, double p95_ms,
+                  bool from_cache = false) {
+    return FoldEvaluation(candidate(weight), outcome(accuracy, p95_ms,
+                                                     from_cache),
+                          params, ci, &result);
+  };
+
+  auto f = [&](std::size_t order) { return result.evaluations[order].f; };
+
+  // Among violating candidates, the smaller p95 excess wins, whatever f.
+  EXPECT_TRUE(fold(1, 90.0, 150.0));
+  EXPECT_FALSE(fold(2, 99.0, 180.0));
+  EXPECT_GT(f(1), f(0));
+  EXPECT_TRUE(fold(3, 80.0, 120.0));
+  EXPECT_LT(f(2), f(0));
+  EXPECT_FALSE(fold(4, 99.0, 120.0));  // equal excess keeps the incumbent
+  EXPECT_TRUE(result.best == candidate(3));
+  EXPECT_FALSE(result.best_sla_ok);
+
+  // A compliant candidate beats any violating one, even at a lower f; after
+  // that no violating candidate wins, even at a higher f.
+  EXPECT_TRUE(fold(5, 70.0, 100.0));
+  EXPECT_LT(f(4), f(2));
+  EXPECT_FALSE(fold(6, 99.0, 100.5));
+  EXPECT_GT(f(5), f(4));
+  EXPECT_TRUE(result.best == candidate(5));
+  EXPECT_TRUE(result.best_sla_ok);
+
+  // Among compliant candidates the higher f wins; an equal f keeps the
+  // incumbent.
+  EXPECT_TRUE(fold(7, 95.0, 50.0, /*from_cache=*/true));
+  EXPECT_FALSE(fold(8, 90.0, 10.0));
+  EXPECT_FALSE(fold(9, 95.0, 60.0));
+  EXPECT_EQ(f(8), f(6));
+  EXPECT_TRUE(result.best == candidate(7));
+  EXPECT_EQ(result.best_f, f(6));
+  EXPECT_EQ(result.best_metrics.p95_ms, 50.0);
+
+  // Every candidate is recorded in order, with its cost and cache hit.
+  ASSERT_EQ(result.evaluations.size(), 9u);
+  for (std::size_t i = 0; i < result.evaluations.size(); ++i) {
+    EXPECT_EQ(result.evaluations[i].order, static_cast<int>(i));
+    EXPECT_TRUE(result.evaluations[i].graph ==
+                candidate(static_cast<int>(i) + 1));
+  }
+  EXPECT_TRUE(result.evaluations[6].from_cache);
+  EXPECT_EQ(result.cache_hits, 1);
+  EXPECT_DOUBLE_EQ(result.elapsed_seconds, 16.0);
+}
+
 TEST(RandomSearch, SamplesFeasibleConfigurations) {
   graph::GraphMapper mapper(&DefaultZoo(), 6);
   SurrogateEvaluator surrogate = Surrogate(6, 100.0, 1e9);

@@ -209,6 +209,32 @@ TEST(ClusterSim, ReconfigurationDrainsAndPausesAffectedGpus) {
   EXPECT_EQ(sim.deployment().gpus[0].layout_id, 19);
 }
 
+TEST(ClusterSim, DrainAcrossAWindowEdgeClosesTheWindow) {
+  // Overloaded, so both GPUs are busy when the reconfiguration starts just
+  // before the 1 s window edge: the drain runs past the edge and must close
+  // the window on the way, like any other advance.
+  const auto trace = FlatTrace();
+  serving::Deployment base =
+      serving::MakeBase(Application::kClassification, 2);
+  const auto& family =
+      DefaultZoo().ForApplication(Application::kClassification);
+  const double capacity =
+      2.0 * 1e3 /
+      perf::PerfModel::LatencyMs(family, family.Largest(),
+                                 mig::SliceType::k7g);
+  SimOptions options = Options(2.0 * capacity);
+  options.window_seconds = 1.0;
+  ClusterSim sim(base, DefaultZoo(), &trace, options);
+  sim.AdvanceTo(1.0 - 1e-4);
+
+  serving::Deployment next = base;
+  next.gpus[0].layout_id = 19;
+  next.gpus[0].variant_ordinals.assign(7, 0);
+  sim.ApplyDeployment(next);
+  ASSERT_GT(sim.now(), 1.0);
+  EXPECT_EQ(sim.windows().size(), 1u);
+}
+
 TEST(ClusterSim, ZeroCostReconfigurationIsImmediate) {
   const auto trace = FlatTrace();
   serving::Deployment base =
