@@ -131,4 +131,6 @@ if [[ "${CLOVER_SKIP_SANITIZE:-}" != 1 ]]; then
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
   cmake --build "$BUILD_DIR-tsan" -j "$(nproc)"
   ctest --test-dir "$BUILD_DIR-tsan" -L unit --output-on-failure -j "$(nproc)"
+  # A CLOVER flood through the twin handoff, two workers racing.
+  "$BUILD_DIR-tsan/examples/clover_loadgen" --hours 2 --workers 2
 fi

@@ -53,8 +53,11 @@ CarbonTrace GenerateShaped(const ProfileParams& params,
                            const TraceGeneratorOptions& options) {
   RngStream rng(options.seed, stream_name);
 
-  const auto num_samples = static_cast<std::size_t>(
-      HoursToSeconds(options.duration_hours) / options.sample_interval_s);
+  // At least one sample: a span shorter than one interval still has an
+  // intensity. Longer spans keep floor(duration / interval) samples.
+  const auto num_samples = std::max<std::size_t>(
+      1, static_cast<std::size_t>(HoursToSeconds(options.duration_hours) /
+                                  options.sample_interval_s));
   std::vector<double> values;
   values.reserve(num_samples);
 

@@ -165,9 +165,23 @@ RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
   return report;
 }
 
+namespace {
+
+std::vector<double> ControlBoundaries(double interval_s, double duration_s) {
+  CLOVER_CHECK_MSG(interval_s > 0.0, "control interval must be positive");
+  std::vector<double> boundaries;
+  for (double t = interval_s; t <= duration_s + 1e-9; t += interval_s)
+    boundaries.push_back(t);
+  return boundaries;
+}
+
+}  // namespace
+
 ExperimentRun::ExperimentRun(ExperimentHarness* harness,
                              const ExperimentConfig& config)
-    : config_(config) {
+    : config_(config),
+      duration_s_(HoursToSeconds(config.duration_hours)),
+      boundaries_(ControlBoundaries(config.control_interval_s, duration_s_)) {
   CLOVER_CHECK(harness != nullptr && config.trace != nullptr);
   const models::ModelZoo* zoo = &harness->zoo();
   // Carbon-feed dropouts are repaired up front (last observation carried
@@ -228,13 +242,11 @@ ExperimentRun::ExperimentRun(ExperimentHarness* harness,
     controller_ = std::make_unique<Controller>(sim_.get(), zoo, trace,
                                                params_, controller_options);
   }
-
-  duration_s_ = HoursToSeconds(config.duration_hours);
-  next_boundary_s_ = config.control_interval_s;
 }
 
 double ExperimentRun::FireNextBoundary() {
-  const double target = std::min(next_boundary_s_, duration_s_);
+  CLOVER_CHECK(HasNextBoundary());
+  const double target = std::min(boundaries_[fired_], duration_s_);
   if (target > sim_->now()) sim_->AdvanceTo(target);
   if (controller_ != nullptr) {
     controller_->Step();
@@ -248,7 +260,7 @@ double ExperimentRun::FireNextBoundary() {
     sim_->ApplyDeployment(*deployment, kFreeReconfig);
     oracle_monitor_->AcknowledgeOptimization(sim_->now());
   }
-  next_boundary_s_ += config_.control_interval_s;
+  ++fired_;
   return target;
 }
 

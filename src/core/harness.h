@@ -181,18 +181,18 @@ class ExperimentRun {
   ExperimentRun(const ExperimentRun&) = delete;
   ExperimentRun& operator=(const ExperimentRun&) = delete;
 
-  // The control boundaries are t = I, 2I, ... (accumulated) while
-  // t <= D + 1e-9, each clamped to D.
-  bool HasNextBoundary() const {
-    return next_boundary_s_ <= duration_s_ + 1e-9;
-  }
-  double next_boundary_s() const { return next_boundary_s_; }
+  // The control boundaries t = I, 2I, ... (accumulated) while
+  // t <= D + 1e-9, unclamped. Fixed at construction, so another thread may
+  // walk the list while this run fires them.
+  const std::vector<double>& boundaries() const { return boundaries_; }
+  bool HasNextBoundary() const { return fired_ < boundaries_.size(); }
 
-  // Advances the cluster to min(t, D) when that is ahead of the clock (an
-  // optimization invocation may overrun the interval, since its evaluations
-  // advance simulated time), runs the scheme's control step (CLOVER/BLOVER:
-  // Controller::Step; ORACLE: reselect; BASE/CO2OPT: none), and moves to
-  // the next boundary. Returns min(t, D).
+  // Advances the cluster to min(t, D) for the next boundary t when that is
+  // ahead of the clock (an optimization invocation may overrun the
+  // interval, since its evaluations advance simulated time), runs the
+  // scheme's control step (CLOVER/BLOVER: Controller::Step; ORACLE:
+  // reselect; BASE/CO2OPT: none), and moves to the next boundary. Returns
+  // min(t, D). Requires HasNextBoundary().
   double FireNextBoundary();
 
   // Fires the remaining boundaries and advances the cluster to D.
@@ -208,6 +208,9 @@ class ExperimentRun {
 
  private:
   const ExperimentConfig config_;
+  const double duration_s_;
+  const std::vector<double> boundaries_;
+  std::size_t fired_ = 0;  // boundaries fired so far
   // The dropout-repaired trace; the cluster and the control state read it.
   std::optional<carbon::CarbonTrace> repaired_trace_;
   BaselineCalibration calibration_;
@@ -218,8 +221,6 @@ class ExperimentRun {
   Oracle* oracle_ = nullptr;
   std::optional<carbon::CarbonMonitor> oracle_monitor_;
   std::optional<graph::GraphMapper> oracle_mapper_;
-  double duration_s_ = 0.0;
-  double next_boundary_s_ = 0.0;
   bool finished_ = false;
 };
 

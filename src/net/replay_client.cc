@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "common/check.h"
 #include "net/frame.h"
@@ -82,6 +83,9 @@ ReplayReport Replay(const std::vector<ScheduledRequest>& schedule,
   std::size_t next = 0;  // index of the next unsent schedule entry
   bool beacons_sent = false;
   const double start = NowSeconds();
+  // When every request and beacon was written: the drain timeout runs
+  // from here.
+  std::optional<double> sending_done;
 
   std::vector<pollfd> pfds(conns.size());
   std::uint8_t chunk[kReadChunkBytes];
@@ -126,7 +130,8 @@ ReplayReport Replay(const std::vector<ScheduledRequest>& schedule,
       report.all_acked = true;
       break;
     }
-    if (done_sending && now - start > options.drain_timeout_s &&
+    if (done_sending && !sending_done.has_value()) sending_done = now;
+    if (done_sending && now - *sending_done > options.drain_timeout_s &&
         options.drain_timeout_s > 0.0) {
       break;  // server lost responses; all_acked stays false
     }

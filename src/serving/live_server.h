@@ -28,9 +28,9 @@
 // at low load. Each flushed batch takes a monotone ticket.
 //
 // Workers: any thread may pick up any batch, but the virtual-time section
-// — control-boundary firing (LiveControlHook) and VirtualExecutor calls —
-// runs strictly in ticket order, so the executor sees one canonical
-// request sequence no matter how many workers race. That is the whole
+// — the control hook (LiveControlHook) and VirtualExecutor calls — runs
+// strictly in ticket order, so the executor sees one canonical request
+// sequence no matter how many workers race. That is the whole
 // determinism argument: 1 worker and 8 workers produce bit-identical
 // control decisions and virtual latencies (tests/live_differential_test).
 // Response encoding and socket writes happen outside the ticket section
@@ -57,15 +57,18 @@
 
 namespace clover::serving {
 
-// Fires control boundaries for the live path; implemented by
+// Applies control boundaries for the live path; implemented by
 // core::LiveControlPlane. Called on worker threads, but always inside the
-// ticket-ordered section — implementations need no locking of their own.
+// ticket-ordered section, so calls never overlap and may touch `executor`.
+// An implementation may block there (the control plane does while its
+// twin thread has not fired the boundary yet); every batch behind the
+// ticket waits with it.
 class LiveControlHook {
  public:
   virtual ~LiveControlHook() = default;
-  // Observes that virtual time reached `virtual_ts_s`; fires any control
-  // boundaries strictly below it against `executor` before the request at
-  // that timestamp executes (matching the simulator, where an arrival at
+  // Observes that virtual time reached `virtual_ts_s`; applies any control
+  // boundaries strictly below it to `executor` before the request at that
+  // timestamp executes (matching the simulator, where an arrival at
   // exactly the boundary is served before the controller steps).
   virtual void OnVirtualAdvance(double virtual_ts_s,
                                 VirtualExecutor* executor) = 0;
@@ -115,7 +118,7 @@ class LiveServer {
 
   // The virtual executor. While the server runs, only the ticket-holding
   // worker may touch it; callers use this before Start() or after Stop()
-  // (the control plane's Finish fires end-of-run boundaries through it).
+  // (the control plane's Finish applies end-of-run boundaries through it).
   VirtualExecutor* mutable_executor() { return &executor_; }
 
  private:

@@ -229,6 +229,19 @@ TEST_P(ProfileSweep, Deterministic) {
   EXPECT_EQ(a.values(), b.values());
 }
 
+TEST_P(ProfileSweep, SpanShorterThanOneSampleHasOneSample) {
+  // 0.02 h is 72 s, under one 300 s sample: the trace still has an
+  // intensity, the first sample of any longer trace with the same seed.
+  TraceGeneratorOptions short_options;
+  short_options.duration_hours = 0.02;
+  TraceGeneratorOptions long_options;
+  long_options.duration_hours = 6.0;
+  const CarbonTrace short_trace = GenerateTrace(GetParam(), short_options);
+  const CarbonTrace long_trace = GenerateTrace(GetParam(), long_options);
+  ASSERT_EQ(short_trace.values().size(), 1u);
+  EXPECT_EQ(short_trace.values()[0], long_trace.values()[0]);
+}
+
 TEST_P(ProfileSweep, SeedChangesWeather) {
   TraceGeneratorOptions a_options;
   TraceGeneratorOptions b_options;

@@ -22,9 +22,15 @@
 // full schedule.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+
+#include <cmath>
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "carbon/trace.h"
+#include "core/live_control.h"
 #include "core/live_service.h"
 #include "opt/annealing.h"
 
@@ -186,6 +192,105 @@ TEST(LiveDifferential, MultiConnectionReplayPreservesControlDecisions) {
   EXPECT_TRUE(RunReportsBitIdentical(one.twin_report, four.twin_report));
   EXPECT_EQ(one.stats.completed, four.stats.completed);
   EXPECT_EQ(four.replay.sent, four.replay.ok + four.replay.shed());
+}
+
+// The CLOVER step-trace configuration of the 1-vs-8-worker case, over
+// `hours` of virtual time.
+ExperimentConfig StepTraceClover(const carbon::CarbonTrace* trace,
+                                 double hours) {
+  ExperimentConfig config;
+  config.scheme = Scheme::kClover;
+  config.trace = trace;
+  config.duration_hours = hours;
+  config.num_gpus = config.sizing_gpus = 2;
+  config.seed = 5;
+  config.service_jitter_sigma = 0.0;
+  return config;
+}
+
+std::size_t CountThreads() {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  std::size_t count = 0;
+  while (readdir(dir) != nullptr) ++count;
+  closedir(dir);
+  return count - 2;  // "." and ".."
+}
+
+TEST(LiveDifferential, TwinCatchUpMatchesBoundaryByBoundary) {
+  // The twin thread fires boundaries at most LiveControlPlane::kTwinLead
+  // ahead of the traffic. Crossing every boundary in one call (the worker
+  // waits on the twin and the twin on the lead, turn by turn) must commit
+  // exactly what crossing them one at a time commits.
+  const carbon::CarbonTrace trace("step", 600.0,
+                                  {120.0, 320.0, 120.0, 320.0});
+  const ExperimentConfig config = StepTraceClover(&trace, 0.5);
+  ExperimentHarness harness(&models::DefaultZoo());
+  const RunReport simulated = harness.Run(config);
+  ASSERT_FALSE(simulated.optimizations.empty());
+
+  LiveControlPlane stepped(&harness, &models::DefaultZoo(), config);
+  serving::VirtualExecutor stepped_executor(stepped.initial_deployment(),
+                                            models::DefaultZoo());
+  const double interval = stepped.control_interval_s();
+  const long boundaries = std::lround(stepped.duration_s() / interval);
+  ASSERT_GT(static_cast<std::size_t>(boundaries), LiveControlPlane::kTwinLead);
+  for (long k = 1; k <= boundaries; ++k)
+    stepped.OnVirtualAdvance(static_cast<double>(k) * interval + 1e-6,
+                             &stepped_executor);
+  stepped.Finish(&stepped_executor);
+
+  LiveControlPlane caught_up(&harness, &models::DefaultZoo(), config);
+  serving::VirtualExecutor caught_up_executor(caught_up.initial_deployment(),
+                                              models::DefaultZoo());
+  caught_up.OnVirtualAdvance(caught_up.duration_s() + interval,
+                             &caught_up_executor);
+  caught_up.Finish(&caught_up_executor);
+
+  EXPECT_TRUE(RunReportsBitIdentical(stepped.TwinReport(), simulated));
+  EXPECT_TRUE(RunReportsBitIdentical(caught_up.TwinReport(), simulated));
+  const auto& a = stepped.commits();
+  const auto& b = caught_up.commits();
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].boundary_s, b[i].boundary_s);
+    EXPECT_EQ(a[i].ready_s, b[i].ready_s);
+    EXPECT_TRUE(serving::SameInstances(a[i].deployment, b[i].deployment));
+  }
+}
+
+TEST(LiveDifferential, TwinThreadStopsWhenThePlaneIsDroppedUnfinished) {
+  // A plane dropped without Finish() stops its twin after at most the
+  // boundary it is firing and joins it: right after construction, and
+  // midway, with boundaries still unfired past the twin's lead (a twin
+  // that did not stop would block on its full lead and hang the test).
+  const carbon::CarbonTrace trace("step", 600.0,
+                                  {120.0, 320.0, 120.0, 320.0});
+  const ExperimentConfig config = StepTraceClover(&trace, 2.0);
+  ExperimentHarness harness(&models::DefaultZoo());
+  harness.Calibrate(config.app, config.sizing_gpus,
+                    config.utilization_target, config.arrival_rate_qps,
+                    config.seed);
+  const std::size_t threads_before = CountThreads();
+
+  auto fresh = std::make_unique<LiveControlPlane>(
+      &harness, &models::DefaultZoo(), config);
+  EXPECT_EQ(CountThreads(), threads_before + 1);
+  fresh.reset();
+  EXPECT_EQ(CountThreads(), threads_before);
+
+  auto midway = std::make_unique<LiveControlPlane>(
+      &harness, &models::DefaultZoo(), config);
+  serving::VirtualExecutor executor(midway->initial_deployment(),
+                                    models::DefaultZoo());
+  const double half = midway->duration_s() / 2.0;
+  ASSERT_GT(midway->duration_s() - half,
+            static_cast<double>(LiveControlPlane::kTwinLead + 1) *
+                midway->control_interval_s());
+  midway->OnVirtualAdvance(half + 1e-6, &executor);
+  midway.reset();
+  EXPECT_EQ(CountThreads(), threads_before);
 }
 
 }  // namespace

@@ -14,8 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "models/zoo.h"
 #include "net/epoll_server.h"
 #include "net/frame.h"
+#include "net/replay_client.h"
+#include "serving/deployment.h"
+#include "serving/live_server.h"
 
 namespace clover::net {
 namespace {
@@ -264,6 +268,29 @@ TEST(EpollServer, ShutdownClosesEverythingAndIsIdempotent) {
   EXPECT_EQ(server.open_connections(), 0u);
   server.Shutdown();  // idempotent
   ::close(fd);
+}
+
+TEST(Replay, DrainTimeoutRunsFromTheEndOfSending) {
+  // A paced replay whose sending outlasts the drain timeout still waits for
+  // the responses to its last requests: the timeout runs from the moment
+  // every request and beacon was written, not from the start of the replay.
+  serving::LiveServerOptions server_options;
+  server_options.admission.bucket = {.rate_per_s = 1e12, .burst = 1e12};
+  serving::LiveServer server(
+      serving::MakeBase(models::Application::kClassification, 2),
+      models::DefaultZoo(), server_options, /*hook=*/nullptr);
+  std::vector<ScheduledRequest> schedule;
+  for (std::uint64_t i = 1; i <= 200; ++i)
+    schedule.push_back({.request_id = i, .virtual_ts_s = 0.005 * double(i)});
+  ReplayOptions options;
+  options.port = server.Start();
+  options.time_scale = 0.5;       // 1 virtual second: 0.5 s of sending
+  options.drain_timeout_s = 0.2;  // shorter than the sending
+  const ReplayReport report = Replay(schedule, options);
+  server.Stop();
+  EXPECT_TRUE(report.all_acked);
+  EXPECT_EQ(report.sent, 200u);
+  EXPECT_EQ(report.ok, 200u);
 }
 
 }  // namespace
