@@ -26,15 +26,25 @@ double RunReport::P95NormVs(const RunReport& base) const {
   return overall_p95_ms / base.overall_p95_ms;
 }
 
+double WindowObjective(const sim::WindowRecord& window,
+                       const opt::ObjectiveParams& params,
+                       double fallback_energy_per_request_j) {
+  opt::EvalMetrics metrics;
+  metrics.accuracy = window.weighted_accuracy;
+  metrics.energy_per_request_j =
+      window.completions
+          ? window.energy_j / static_cast<double>(window.completions)
+          : fallback_energy_per_request_j;
+  metrics.p95_ms = window.p95_ms;
+  return opt::ObjectiveF(metrics, params, window.ci);
+}
+
 namespace {
 
 // Both fidelity tiers expose the same report taps; one template keeps the
 // fills from drifting apart.
 template <typename Sim>
-void FillRunReportFromSimImpl(const Sim& sim,
-                              const opt::ObjectiveParams& params,
-                              double fallback_energy_per_request_j,
-                              RunReport* report) {
+void FillRunTotalsImpl(const Sim& sim, RunReport* report) {
   report->arrivals = sim.total_arrivals();
   report->completions = sim.total_completions();
   report->total_energy_j = sim.total_energy_j();
@@ -48,38 +58,29 @@ void FillRunReportFromSimImpl(const Sim& sim,
       report->completions
           ? report->total_carbon_g / static_cast<double>(report->completions)
           : 0.0;
-  report->windows = sim.windows();
-  report->objective_series.clear();
-  report->objective_series.reserve(report->windows.size());
-  for (const sim::WindowRecord& window : report->windows) {
-    opt::EvalMetrics metrics;
-    metrics.accuracy = window.weighted_accuracy;
-    metrics.energy_per_request_j =
-        window.completions
-            ? window.energy_j / static_cast<double>(window.completions)
-            : fallback_energy_per_request_j;
-    metrics.p95_ms = window.p95_ms;
-    report->objective_series.push_back(
-        opt::ObjectiveF(metrics, params, window.ci));
-  }
 }
 
 }  // namespace
+
+void FillRunTotalsFromSim(const sim::ClusterSim& sim, RunReport* report) {
+  FillRunTotalsImpl(sim, report);
+}
+
+void FillRunTotalsFromSim(const sim::MeanFieldSim& sim, RunReport* report) {
+  FillRunTotalsImpl(sim, report);
+}
 
 void FillRunReportFromSim(const sim::ClusterSim& sim,
                           const opt::ObjectiveParams& params,
                           double fallback_energy_per_request_j,
                           RunReport* report) {
-  FillRunReportFromSimImpl(sim, params, fallback_energy_per_request_j,
-                           report);
-}
-
-void FillRunReportFromSim(const sim::MeanFieldSim& sim,
-                          const opt::ObjectiveParams& params,
-                          double fallback_energy_per_request_j,
-                          RunReport* report) {
-  FillRunReportFromSimImpl(sim, params, fallback_energy_per_request_j,
-                           report);
+  FillRunTotalsFromSim(sim, report);
+  report->windows = sim.windows();
+  report->objective_series.clear();
+  report->objective_series.reserve(report->windows.size());
+  for (const sim::WindowRecord& window : report->windows)
+    report->objective_series.push_back(
+        WindowObjective(window, params, fallback_energy_per_request_j));
 }
 
 bool RunReportsBitIdentical(const RunReport& a, const RunReport& b) {
@@ -165,8 +166,6 @@ RunReport ExperimentHarness::Run(const ExperimentConfig& config) {
   return report;
 }
 
-namespace {
-
 std::vector<double> ControlBoundaries(double interval_s, double duration_s) {
   CLOVER_CHECK_MSG(interval_s > 0.0, "control interval must be positive");
   std::vector<double> boundaries;
@@ -174,8 +173,6 @@ std::vector<double> ControlBoundaries(double interval_s, double duration_s) {
     boundaries.push_back(t);
   return boundaries;
 }
-
-}  // namespace
 
 ExperimentRun::ExperimentRun(ExperimentHarness* harness,
                              const ExperimentConfig& config)

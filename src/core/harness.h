@@ -106,21 +106,26 @@ struct RunReport {
   double P95NormVs(const RunReport& base) const;
 };
 
-// Fills the simulator-derived tail of a report — run totals, overall
-// quantiles, per-window series and the objective series
-// (`fallback_energy_per_request_j` stands in for windows that served
-// nothing). Context fields (app/scheme/params/rate) and optimization
-// bookkeeping stay with the caller. Shared by the single-cluster harness
-// and the fleet's per-region reports so the two can never drift.
-void FillRunReportFromSim(const sim::ClusterSim& sim,
-                          const opt::ObjectiveParams& params,
-                          double fallback_energy_per_request_j,
-                          RunReport* report);
+// The objective f of one closed window: its accuracy, energy per request
+// (`fallback_energy_per_request_j` stands in when it served nothing) and
+// p95 at its carbon intensity. One entry of a report's objective series;
+// the fleet scores its folded windows with it too.
+double WindowObjective(const sim::WindowRecord& window,
+                       const opt::ObjectiveParams& params,
+                       double fallback_energy_per_request_j);
 
-// Same fill from the mean-field fidelity tier (sim/meanfield.h): the fluid
-// regions of a fleet fast-path run produce the identical report shape, so
-// downstream aggregation and report rendering cannot tell the tiers apart.
-void FillRunReportFromSim(const sim::MeanFieldSim& sim,
+// Fills a report's run totals and overall quantiles from either fidelity
+// tier (the fluid tier's taps are ClusterSim-shaped). The fleet's
+// per-region reports take these and build their objective series window
+// by window as the regions hand their windows over.
+void FillRunTotalsFromSim(const sim::ClusterSim& sim, RunReport* report);
+void FillRunTotalsFromSim(const sim::MeanFieldSim& sim, RunReport* report);
+
+// Fills the simulator-derived tail of a report: the run totals plus the
+// per-window series and its objective series. Context fields
+// (app/scheme/params/rate) and optimization bookkeeping stay with the
+// caller.
+void FillRunReportFromSim(const sim::ClusterSim& sim,
                           const opt::ObjectiveParams& params,
                           double fallback_energy_per_request_j,
                           RunReport* report);
@@ -130,6 +135,11 @@ void FillRunReportFromSim(const sim::MeanFieldSim& sim,
 // contract for repeated runs of one configuration; shared by the fleet's
 // cross-thread-count check and bench_runner's fault_recovery twin.
 bool RunReportsBitIdentical(const RunReport& a, const RunReport& b);
+
+// The control boundaries t = I, 2I, ... (accumulated) while
+// t <= D + 1e-9, unclamped: the one schedule the harness, the live control
+// plane and the fleet loop step over. CheckError unless I > 0.
+std::vector<double> ControlBoundaries(double interval_s, double duration_s);
 
 // Baseline calibration shared by all schemes of a setting.
 struct BaselineCalibration {
@@ -181,8 +191,7 @@ class ExperimentRun {
   ExperimentRun(const ExperimentRun&) = delete;
   ExperimentRun& operator=(const ExperimentRun&) = delete;
 
-  // The control boundaries t = I, 2I, ... (accumulated) while
-  // t <= D + 1e-9, unclamped. Fixed at construction, so another thread may
+  // ControlBoundaries(I, D), fixed at construction, so another thread may
   // walk the list while this run fires them.
   const std::vector<double>& boundaries() const { return boundaries_; }
   bool HasNextBoundary() const { return fired_ < boundaries_.size(); }

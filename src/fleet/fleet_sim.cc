@@ -2,30 +2,28 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
 #include "common/quantile.h"
 #include "common/units.h"
 #include "fleet/meanfield_fleet.h"
+#include "fleet/window_fold.h"
+#include "obs/trace.h"
 #include "perf/calibration.h"
 #include "sim/arrivals.h"
 
 namespace clover::fleet {
 namespace {
 
-// Fills `fleet_report->fleet` (counter/energy/carbon sums, completion-
-// weighted accuracy, merged latency quantiles, index-aligned per-window
-// series, objective series) and `fleet_report->slo_attainment` from the
-// regions and their filled reports.
-void AggregateRegions(const std::vector<std::unique_ptr<Region>>& regions,
-                      const opt::ObjectiveParams& params,
-                      double fallback_energy_per_request_j,
-                      FleetReport* fleet_report) {
+// Fills the run totals of `fleet_report->fleet` from the regions and their
+// filled reports: sums for counters, energy and carbon; completion-weighted
+// accuracy; latency quantiles from the merged per-region distributions,
+// each shifted by its network penalty.
+void AggregateRegionTotals(const std::vector<std::unique_ptr<Region>>& regions,
+                           FleetReport* fleet_report) {
   core::RunReport& fleet = fleet_report->fleet;
   LogHistogramQuantile merged_latency;
-  std::size_t window_count = std::numeric_limits<std::size_t>::max();
   for (std::size_t i = 0; i < regions.size(); ++i) {
     const core::RunReport& region = fleet_report->regions[i].report;
     fleet.arrivals += region.arrivals;
@@ -38,7 +36,6 @@ void AggregateRegions(const std::vector<std::unique_ptr<Region>>& regions,
     fleet.optimization_seconds += region.optimization_seconds;
     merged_latency.MergeShifted(regions[i]->latency_histogram(),
                                 regions[i]->latency_penalty_ms());
-    window_count = std::min(window_count, region.windows.size());
   }
   fleet.weighted_accuracy =
       fleet.completions
@@ -51,90 +48,6 @@ void AggregateRegions(const std::vector<std::unique_ptr<Region>>& regions,
   fleet.overall_p50_ms = merged_latency.Quantile(0.50);
   fleet.overall_p95_ms = merged_latency.Quantile(0.95);
   fleet.overall_p99_ms = merged_latency.Quantile(0.99);
-
-  // Fleet windows: index-aligned aggregation (regions close windows on the
-  // same control-interval boundaries). The window p95 approximates the
-  // merged distribution by one point mass per region at its p95 (plus its
-  // network penalty): walking the masses from slowest down, the 95th
-  // percentile is the first value with more than 5% of the completions at
-  // or above it. This handles both failure modes of simpler rules — a
-  // 3-request region cannot claim the fleet tail (a plain max would), yet
-  // several small slow regions whose combined mass straddles the 95% rank
-  // still do. max_ms stays the true maximum.
-  std::uint64_t slo_windows = 0, counted_windows = 0;
-  std::vector<std::pair<double, std::uint64_t>> tail_masses;  // (value, n)
-  for (std::size_t w = 0; w < window_count; ++w) {
-    sim::WindowRecord window;
-    double mean_weighted = 0.0, accuracy_weighted = 0.0, ci_energy = 0.0;
-    tail_masses.clear();
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-      const sim::WindowRecord& region_window =
-          fleet_report->regions[i].report.windows[w];
-      // Penalty as of this window's start: an active RTT spike shifts the
-      // window's latency contribution (the run-level merged histogram keeps
-      // the base penalty — spikes are windowed events, run quantiles are a
-      // whole-run summary).
-      const double penalty =
-          regions[i]->LatencyPenaltyAt(region_window.start_s);
-      window.start_s = region_window.start_s;
-      window.duration_s = region_window.duration_s;
-      window.arrivals += region_window.arrivals;
-      window.completions += region_window.completions;
-      window.energy_j += region_window.energy_j;
-      window.carbon_g += region_window.carbon_g;
-      if (region_window.completions > 0) {
-        tail_masses.emplace_back(region_window.p95_ms + penalty,
-                                 region_window.completions);
-        window.max_ms = std::max(window.max_ms,
-                                 region_window.max_ms + penalty);
-        mean_weighted += (region_window.mean_ms + penalty) *
-                         static_cast<double>(region_window.completions);
-        accuracy_weighted += region_window.weighted_accuracy *
-                             static_cast<double>(region_window.completions);
-      }
-      ci_energy += region_window.ci * region_window.energy_j;
-    }
-    std::sort(tail_masses.begin(), tail_masses.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    std::uint64_t mass_above = 0;
-    for (const auto& [value, count] : tail_masses) {
-      mass_above += count;
-      if (static_cast<double>(mass_above) >
-          0.05 * static_cast<double>(window.completions)) {
-        window.p95_ms = value;
-        break;
-      }
-    }
-    window.mean_ms = window.completions
-                         ? mean_weighted /
-                               static_cast<double>(window.completions)
-                         : 0.0;
-    window.weighted_accuracy =
-        window.completions ? accuracy_weighted /
-                                 static_cast<double>(window.completions)
-                           : 0.0;
-    // Blended intensity: energy-weighted mean over regions.
-    window.ci = window.energy_j > 0.0 ? ci_energy / window.energy_j : 0.0;
-    if (window.completions > 0) {
-      ++counted_windows;
-      if (window.p95_ms <= fleet_report->slo_budget_ms) ++slo_windows;
-    }
-    fleet.windows.push_back(window);
-
-    opt::EvalMetrics metrics;
-    metrics.accuracy = window.weighted_accuracy;
-    metrics.energy_per_request_j =
-        window.completions
-            ? window.energy_j / static_cast<double>(window.completions)
-            : fallback_energy_per_request_j;
-    metrics.p95_ms = window.p95_ms;
-    fleet.objective_series.push_back(
-        opt::ObjectiveF(metrics, params, window.ci));
-  }
-  fleet_report->slo_attainment =
-      counted_windows ? static_cast<double>(slo_windows) /
-                            static_cast<double>(counted_windows)
-                      : 0.0;
 }
 
 // The fleet run over regions of one backend: calibration, region setup,
@@ -217,21 +130,51 @@ FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
   FleetController fleet_controller(&regions, &zoo, router.get(), params,
                                    total_qps, controller_options);
 
-  // Control loop: one fleet step per interval; each region may overrun the
-  // boundary while optimizing (simulated time spent on evaluations), so
-  // steps only advance regions that are behind the target.
-  const double duration_s = HoursToSeconds(config.duration_hours);
-  for (double t = config.control_interval_s; t <= duration_s + 1e-9;
-       t += config.control_interval_s)
-    fleet_controller.Step(std::min(t, duration_s));
-  for (auto& region : regions)
-    if (duration_s > region->now()) region->AdvanceTo(duration_s);
-
-  // ---- Reports ----
   FleetReport fleet_report;
   fleet_report.router_name = router->name();
   fleet_report.total_qps = total_qps;
   fleet_report.slo_budget_ms = controller_options.router.slo_budget_ms;
+  fleet_report.regions.resize(regions.size());
+
+  // Control loop: one fleet step per boundary; each region may overrun the
+  // boundary while optimizing (simulated time spent on evaluations), so
+  // steps only advance regions that are behind the target. At each
+  // barrier the regions hand over the windows they closed; each window adds
+  // an entry to its region's objective series and joins the fleet fold,
+  // which folds a window index once every region has closed it.
+  const double duration_s = HoursToSeconds(config.duration_hours);
+  const std::vector<double> boundaries =
+      core::ControlBoundaries(config.control_interval_s, duration_s);
+  for (RegionReport& region_report : fleet_report.regions)
+    region_report.report.objective_series.reserve(boundaries.size());
+  WindowFold fold(regions.size(), params, calibration.energy_per_request_j,
+                  fleet_report.slo_budget_ms);
+  std::vector<sim::WindowRecord> closed;  // one region's hand-off
+  const auto fold_closed_windows = [&] {
+    CLOVER_TRACE_SCOPE("fleet.fold");
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      closed.clear();
+      regions[i]->TakeClosedWindows(&closed);
+      std::vector<double>& objective_series =
+          fleet_report.regions[i].report.objective_series;
+      for (const sim::WindowRecord& window : closed) {
+        objective_series.push_back(core::WindowObjective(
+            window, params, calibration.energy_per_request_j));
+        fold.Push(i, window, regions[i]->LatencyPenaltyAt(window.start_s));
+      }
+    }
+    fold.FoldReady();
+  };
+  for (const double t : boundaries) {
+    fleet_controller.Step(std::min(t, duration_s));
+    fold_closed_windows();
+  }
+  for (auto& region : regions)
+    if (duration_s > region->now()) region->AdvanceTo(duration_s);
+  fold_closed_windows();
+
+  // ---- Reports ----
+  CLOVER_TRACE_SCOPE("fleet.report");
   fleet_report.weight_history = fleet_controller.TakeWeightHistory();
 
   const auto controller_snapshots = fleet_controller.ControllerSnapshots();
@@ -243,17 +186,18 @@ FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
     w /= static_cast<double>(fleet_report.weight_history.size());
 
   for (std::size_t i = 0; i < regions.size(); ++i) {
-    RegionReport region_report;
+    RegionReport& region_report = fleet_report.regions[i];
     region_report.name = regions[i]->name();
     region_report.latency_penalty_ms = regions[i]->latency_penalty_ms();
     region_report.mean_weight = mean_weights[i];
-    // Cluster-local: the same tail the single-cluster harness assembles,
-    // minus the optimization bookkeeping the fleet controller owns.
+    // Cluster-local: the totals the single-cluster harness reports, minus
+    // the window series and the optimization bookkeeping the fleet
+    // controller owns.
     core::RunReport& report = region_report.report;
     report.app = config.app;
     report.scheme = config.scheme;
     report.params = params;
-    regions[i]->FillReport(params, calibration.energy_per_request_j, &report);
+    regions[i]->FillTotals(&report);
     report.arrival_rate_qps = mean_weights[i] * total_qps;
     if (const core::Controller* controller = fleet_controller.controller(i)) {
       report.optimizations = controller->history();
@@ -263,18 +207,16 @@ FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
       report.cache_hits = controller->cache_hits();
     }
     region_report.controller = controller_snapshots[i];
-    fleet_report.regions.push_back(std::move(region_report));
   }
 
-  // Fleet aggregate: sums over regions; latency from the merged per-region
-  // distributions, each shifted by its network penalty.
   core::RunReport& fleet = fleet_report.fleet;
   fleet.app = config.app;
   fleet.scheme = config.scheme;
   fleet.arrival_rate_qps = total_qps;
   fleet.params = params;
-  AggregateRegions(regions, params, calibration.energy_per_request_j,
-                   &fleet_report);
+  AggregateRegionTotals(regions, &fleet_report);
+  fold.TakeSeries(&fleet);
+  fleet_report.slo_attainment = fold.slo_attainment();
   // Not summed from the regions: with a shared store every controller
   // reports the store-wide counter, and summing would multiply it by N.
   fleet.cache_hits = fleet_controller.total_cache_hits();

@@ -5,7 +5,8 @@
 // it calibrates the shared SLA the way the paper does (BASE at the sizing
 // utilization), builds one Region per config entry (each with its own
 // carbon trace from the region preset), drives the control loop — regions
-// stepped in parallel, router rebalanced every control interval — and
+// stepped in parallel, router rebalanced every control interval, each
+// interval's windows folded at the barrier (fleet/window_fold.h) — and
 // aggregates per-region results into a fleet-level core::RunReport whose
 // latency metrics include each region's network penalty. RunFleetMeanField
 // (fleet/meanfield_fleet.h) is the same run over fluid regions.
@@ -55,7 +56,11 @@ struct RegionReport {
   std::string name;
   double latency_penalty_ms = 0.0;
   double mean_weight = 0.0;  // average routed share across rebalances
-  // Cluster-local metrics (latencies exclude the network penalty).
+  // Cluster-local metrics (latencies exclude the network penalty): run
+  // totals, quantiles and the objective series, one entry per window the
+  // region closed. No window series: the fleet folds each window as the
+  // region hands it over at a control barrier, so `report.windows` stays
+  // empty.
   core::RunReport report;
   std::optional<core::ControllerSnapshot> controller;
 };
@@ -69,7 +74,9 @@ struct FleetReport {
   double slo_attainment = 0.0;
   // Aggregate over regions: sums for counters/energy/carbon, completion-
   // weighted accuracy, latency quantiles from the merged per-region
-  // distributions shifted by each region's network penalty.
+  // distributions shifted by each region's network penalty, and the folded
+  // window and objective series (one entry per window index every region
+  // closed).
   core::RunReport fleet;
   std::vector<RegionReport> regions;
   // One entry per rebalance (index 0 = initial split at t = 0).

@@ -97,15 +97,19 @@ RegionSnapshot Region::Snapshot(double t) const {
   return snapshot;
 }
 
-void Region::FillReport(const opt::ObjectiveParams& params,
-                        double fallback_energy_per_request_j,
-                        core::RunReport* report) const {
+void Region::TakeClosedWindows(std::vector<sim::WindowRecord>* out) {
   if (cluster_) {
-    core::FillRunReportFromSim(*cluster_, params,
-                               fallback_energy_per_request_j, report);
+    cluster_->TakeWindows(out);
   } else {
-    core::FillRunReportFromSim(*fluid_, params,
-                               fallback_energy_per_request_j, report);
+    fluid_->TakeWindows(out);
+  }
+}
+
+void Region::FillTotals(core::RunReport* report) const {
+  if (cluster_) {
+    core::FillRunTotalsFromSim(*cluster_, report);
+  } else {
+    core::FillRunTotalsFromSim(*fluid_, report);
   }
 }
 

@@ -6,14 +6,15 @@
 // of two backends — the discrete-event sim::ClusterSim (the reference tier)
 // or the fluid sim::MeanFieldSim (planet-scale campaigns) — behind the one
 // seam the fleet loop drives: now / AdvanceTo / SetAssignedRate / Snapshot /
-// FillReport / latency_histogram. The fleet controller steps regions
-// independently (they share no mutable state), and the router decides how
-// much of the global stream each region is offered.
+// TakeClosedWindows / FillTotals / latency_histogram. The fleet controller
+// steps regions independently (they share no mutable state), and the
+// router decides how much of the global stream each region is offered.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "carbon/trace.h"
 #include "carbon/trace_generator.h"
@@ -89,11 +90,12 @@ class Region {
   // Router-visible state at control time `t`.
   RegionSnapshot Snapshot(double t) const;
 
-  // The simulator-derived tail of the region's cluster-local report
-  // (core::FillRunReportFromSim).
-  void FillReport(const opt::ObjectiveParams& params,
-                  double fallback_energy_per_request_j,
-                  core::RunReport* report) const;
+  // Appends the windows the simulator closed since the last hand-off to
+  // `out` (sim::ClusterSim::TakeWindows); the region keeps none of them.
+  void TakeClosedWindows(std::vector<sim::WindowRecord>* out);
+  // The run totals and overall quantiles of the region's cluster-local
+  // report (core::FillRunTotalsFromSim).
+  void FillTotals(core::RunReport* report) const;
   // Run-level latency distribution, excluding the network penalty.
   const LogHistogramQuantile& latency_histogram() const;
 

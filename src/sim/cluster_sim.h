@@ -107,8 +107,16 @@ class ClusterSim {
   std::size_t queue_depth() const { return queue_.size(); }
   int num_gpus() const { return deployment_.NumGpus(); }
 
-  // Closed metrics windows so far.
+  // Closed metrics windows so far (since the last TakeWindows, if any).
   const std::vector<WindowRecord>& windows() const { return windows_; }
+  // Appends the windows closed since the last call to `out` and forgets
+  // them, keeping their storage: a caller that folds windows as they close
+  // (the fleet, one control interval at a time) leaves the simulator
+  // holding no series and allocating nothing per hand-off.
+  void TakeWindows(std::vector<WindowRecord>* out) {
+    out->insert(out->end(), windows_.begin(), windows_.end());
+    windows_.clear();
+  }
 
   // Run totals (across all time, including partially open windows for
   // counters; energy/carbon totals include only closed windows).

@@ -90,7 +90,14 @@ class MeanFieldSim {
   // analogue of ClusterSim::queue_depth()).
   double backlog() const { return backlog_; }
 
+  // Closed windows so far (since the last TakeWindows, if any).
   const std::vector<WindowRecord>& windows() const { return windows_; }
+  // Appends the windows closed since the last call to `out` and forgets
+  // them, keeping their storage (mirrors ClusterSim::TakeWindows).
+  void TakeWindows(std::vector<WindowRecord>* out) {
+    out->insert(out->end(), windows_.begin(), windows_.end());
+    windows_.clear();
+  }
   // Fluid window updates processed (the "sim_events" analogue for
   // throughput accounting; one per closed window).
   std::uint64_t steps() const { return steps_; }

@@ -1,22 +1,30 @@
 // Tests for the geo-distributed fleet layer: router policy unit tests
 // (conservation of routed load, capacity-margin respect, latency-budget
 // filtering), the fleet determinism contract (bit-identical runs across
-// 1/2/8 threads), the fleet fold's conservation of region totals, and the
+// 1/2/8 threads), the fleet window fold (conservation of region totals,
+// alignment of regions that overrun control boundaries), and the
 // headline acceptance property — carbon-greedy routing beats the static
 // split on gCO2 over anti-correlated regions at equal SLO attainment, with
 // CLOVER adapting inside every region.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "carbon/trace_generator.h"
+#include "common/units.h"
+#include "core/harness.h"
 #include "exp/campaign.h"
 #include "fleet/fleet_controller.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/region.h"
 #include "fleet/router.h"
+#include "fleet/window_fold.h"
 #include "models/zoo.h"
+#include "perf/calibration.h"
 #include "sim/arrivals.h"
 
 namespace clover::fleet {
@@ -321,9 +329,125 @@ TEST(FleetReporting, ControllerSnapshotsDescribeRegions) {
             1u + static_cast<std::size_t>(3.0 * 3600.0 / 300.0));
 }
 
+// What a hand-stepped fleet's regions handed over: handed_over[b][i] holds
+// the windows region i closed between barriers b - 1 and b (the last
+// barrier follows the final advance to the run's end), all pushed through
+// `fold`.
+struct HandOff {
+  std::vector<std::vector<std::vector<sim::WindowRecord>>> handed_over;
+  std::unique_ptr<WindowFold> fold;
+};
+
+// Steps a fault-free discrete-event fleet the way RunFleet does —
+// calibration, one trace and seed per region, router, FleetController over
+// core::ControlBoundaries, a hand-off and fold at every barrier — but
+// keeps every window the regions hand over, so a test can check the fold
+// against the windows the regions actually closed.
+HandOff StepFleetByHand(const FleetConfig& config) {
+  const models::ModelZoo& zoo = models::DefaultZoo();
+  core::ExperimentHarness harness(&zoo);
+  const core::BaselineCalibration& calibration =
+      harness.Calibrate(config.app, config.regions[0].num_gpus,
+                        /*utilization_target=*/0.75, std::nullopt,
+                        config.seed);
+  opt::ObjectiveParams params;
+  params.lambda = config.lambda;
+  params.a_base = calibration.a_base;
+  params.c_base_g = CarbonGrams(calibration.energy_per_request_j,
+                                config.ci_base, perf::kPue);
+  params.l_tail_ms = calibration.l_tail_ms;
+  params.pue = perf::kPue;
+  double total_qps = 0.0;
+  for (const RegionConfig& region : config.regions)
+    total_qps += sim::SizeArrivalRate(zoo, config.app, region.num_gpus,
+                                      config.utilization_target);
+
+  std::vector<std::unique_ptr<Region>> regions;
+  carbon::TraceGeneratorOptions trace_options;
+  trace_options.duration_hours = config.duration_hours;
+  trace_options.seed = config.seed + 41;
+  for (std::size_t i = 0; i < config.regions.size(); ++i) {
+    sim::SimOptions sim_options;
+    sim_options.arrival_rate_qps =
+        total_qps / static_cast<double>(config.regions.size());
+    sim_options.window_seconds = config.control_interval_s;
+    sim_options.seed = RegionSeed(config.seed, i);
+    regions.push_back(std::make_unique<Region>(
+        config.regions[i], &zoo,
+        carbon::GenerateRegionTrace(config.regions[i].preset, trace_options),
+        serving::MakeBase(config.app, config.regions[i].num_gpus),
+        sim_options, Region::Backend::kDiscreteEvent));
+  }
+  const std::unique_ptr<Router> router = MakeRouter(config.router);
+  FleetControllerOptions options;
+  options.scheme = config.scheme;
+  options.controller = config.controller;
+  options.router = config.router_options;
+  if (options.router.slo_budget_ms <= 0.0)
+    options.router.slo_budget_ms =
+        config.slo_budget_factor * params.l_tail_ms;
+  options.threads = config.threads;
+  options.share_eval_cache = config.share_eval_cache;
+  options.seed = config.seed;
+  FleetController controller(&regions, &zoo, router.get(), params,
+                             total_qps, options);
+
+  HandOff hand_off;
+  hand_off.fold = std::make_unique<WindowFold>(
+      regions.size(), params, calibration.energy_per_request_j,
+      options.router.slo_budget_ms);
+  const auto take = [&] {
+    auto& barrier = hand_off.handed_over.emplace_back(regions.size());
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      regions[i]->TakeClosedWindows(&barrier[i]);
+      for (const sim::WindowRecord& window : barrier[i])
+        hand_off.fold->Push(i, window,
+                            regions[i]->LatencyPenaltyAt(window.start_s));
+    }
+    hand_off.fold->FoldReady();
+  };
+  const double duration_s = HoursToSeconds(config.duration_hours);
+  for (const double t :
+       core::ControlBoundaries(config.control_interval_s, duration_s)) {
+    controller.Step(std::min(t, duration_s));
+    take();
+  }
+  for (auto& region : regions)
+    if (duration_s > region->now()) region->AdvanceTo(duration_s);
+  take();
+  return hand_off;
+}
+
+// Every window region `i` handed over, in order.
+std::vector<sim::WindowRecord> RegionWindows(const HandOff& hand_off,
+                                             std::size_t i) {
+  std::vector<sim::WindowRecord> windows;
+  for (const auto& barrier : hand_off.handed_over)
+    windows.insert(windows.end(), barrier[i].begin(), barrier[i].end());
+  return windows;
+}
+
+void ExpectSameWindows(const std::vector<sim::WindowRecord>& a,
+                       const std::vector<sim::WindowRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    SCOPED_TRACE(w);
+    EXPECT_EQ(a[w].start_s, b[w].start_s);
+    EXPECT_EQ(a[w].arrivals, b[w].arrivals);
+    EXPECT_EQ(a[w].completions, b[w].completions);
+    EXPECT_EQ(a[w].p95_ms, b[w].p95_ms);
+    EXPECT_EQ(a[w].mean_ms, b[w].mean_ms);
+    EXPECT_EQ(a[w].max_ms, b[w].max_ms);
+    EXPECT_EQ(a[w].weighted_accuracy, b[w].weighted_accuracy);
+    EXPECT_EQ(a[w].energy_j, b[w].energy_j);
+    EXPECT_EQ(a[w].carbon_g, b[w].carbon_g);
+    EXPECT_EQ(a[w].ci, b[w].ci);
+  }
+}
+
 // The fleet fold conserves its parts: run totals and every window's
-// counters, energy and carbon are the region-order sums of the region
-// reports, at any thread count.
+// counters, energy and carbon are the region-order sums of what the regions
+// closed, at any thread count — and RunFleet reports exactly that fold.
 TEST(FleetReporting, AggregateConservesRegionTotals) {
   exp::CellSpec cell;
   cell.mode = exp::CampaignMode::kFleet;
@@ -355,13 +479,18 @@ TEST(FleetReporting, AggregateConservesRegionTotals) {
     EXPECT_EQ(report.fleet.sim_events, events);
     EXPECT_EQ(report.fleet.total_energy_j, energy);
 
-    ASSERT_EQ(report.fleet.windows.size(), 12u);
+    const HandOff hand_off = StepFleetByHand(config);
+    ASSERT_EQ(hand_off.fold->windows().size(), 12u);
+    ExpectSameWindows(hand_off.fold->windows(), report.fleet.windows);
+    std::vector<std::vector<sim::WindowRecord>> closed;
+    for (std::size_t i = 0; i < report.regions.size(); ++i)
+      closed.push_back(RegionWindows(hand_off, i));
     for (std::size_t w = 0; w < report.fleet.windows.size(); ++w) {
       std::uint64_t window_arrivals = 0, window_completions = 0;
       double window_energy = 0.0, window_carbon = 0.0;
-      for (const RegionReport& region : report.regions) {
-        ASSERT_LT(w, region.report.windows.size());
-        const sim::WindowRecord& window = region.report.windows[w];
+      for (const std::vector<sim::WindowRecord>& region_windows : closed) {
+        ASSERT_LT(w, region_windows.size());
+        const sim::WindowRecord& window = region_windows[w];
         window_arrivals += window.arrivals;
         window_completions += window.completions;
         window_energy += window.energy_j;
@@ -374,6 +503,65 @@ TEST(FleetReporting, AggregateConservesRegionTotals) {
       EXPECT_EQ(fleet_window.carbon_g, window_carbon);
     }
   }
+}
+
+// CLOVER regions evaluate candidates on their production simulators, so a
+// region's clock overruns control boundaries: one step closes two windows
+// and a later one none, and regions of different sizes fall out of step.
+// The streamed fold must align window indices across regions anyway, stop
+// at the smallest region count, and stay bit-identical at any thread
+// count.
+TEST(FleetReporting, StreamedFoldAlignsOverrunningRegions) {
+  FleetConfig config = SmallCloverFleet(1);
+  config.regions[1].num_gpus = 3;
+  config.duration_hours = 1.0;
+
+  const HandOff hand_off = StepFleetByHand(config);
+  bool overran = false, out_of_step = false;
+  for (std::size_t b = 0; b + 1 < hand_off.handed_over.size(); ++b) {
+    const auto& barrier = hand_off.handed_over[b];
+    for (const auto& windows : barrier)
+      overran = overran || windows.size() != 1;
+    out_of_step = out_of_step || barrier[0].size() != barrier[1].size();
+  }
+  EXPECT_TRUE(overran) << "no step closed 0 or >= 2 windows in a region";
+  EXPECT_TRUE(out_of_step) << "no window waited for the other region";
+
+  const FleetReport one = RunFleet(config, models::DefaultZoo());
+  ExpectSameWindows(hand_off.fold->windows(), one.fleet.windows);
+  std::size_t fewest = std::numeric_limits<std::size_t>::max();
+  for (std::size_t i = 0; i < one.regions.size(); ++i) {
+    const core::RunReport& region = one.regions[i].report;
+    EXPECT_TRUE(region.windows.empty());
+    EXPECT_EQ(region.objective_series.size(),
+              RegionWindows(hand_off, i).size());
+    fewest = std::min(fewest, region.objective_series.size());
+  }
+  EXPECT_EQ(one.fleet.windows.size(), fewest);
+  EXPECT_EQ(one.fleet.objective_series.size(), fewest);
+  for (const int threads : {2, 8}) {
+    config.threads = threads;
+    EXPECT_TRUE(FleetReportsBitIdentical(
+        one, RunFleet(config, models::DefaultZoo())))
+        << threads << " threads";
+  }
+}
+
+// The fleet steps over core::ControlBoundaries, the harness's schedule, so
+// a duration off the interval grid rebalances once per boundary plus the
+// initial split.
+TEST(FleetReporting, WeightHistoryFollowsControlBoundaries) {
+  FleetConfig config = SmallCloverFleet(2);
+  config.scheme = core::Scheme::kBase;
+  config.duration_hours = 1.05;
+  const FleetReport report = RunFleet(config, models::DefaultZoo());
+  const std::size_t boundaries =
+      core::ControlBoundaries(config.control_interval_s,
+                              HoursToSeconds(config.duration_hours))
+          .size();
+  EXPECT_EQ(boundaries, 12u);
+  EXPECT_EQ(report.weight_history.size(), 1 + boundaries);
+  EXPECT_EQ(report.fleet.windows.size(), 12u);
 }
 
 }  // namespace

@@ -374,6 +374,21 @@ TEST(MeanFieldFleetTest, RunsAreBitIdenticalAtAnyThreadCount) {
   }
 }
 
+// The fleet folds each control interval's windows at the barrier, so fluid
+// region reports keep no window series: only the objective series, one
+// entry per window the region closed.
+TEST(MeanFieldFleetTest, RegionReportsKeepNoWindowSeries) {
+  const fleet::FleetReport report =
+      fleet::RunFleetMeanField(FluidFleet(2), models::DefaultZoo());
+  const std::size_t closed = 12;  // 1 h of 300 s windows
+  EXPECT_EQ(report.fleet.windows.size(), closed);
+  EXPECT_EQ(report.fleet.objective_series.size(), closed);
+  for (const fleet::RegionReport& region : report.regions) {
+    EXPECT_TRUE(region.report.windows.empty()) << region.name;
+    EXPECT_EQ(region.report.objective_series.size(), closed) << region.name;
+  }
+}
+
 // The fluid tier has no per-region controller and no fault model: adaptive
 // schemes and region fault schedules are rejected up front.
 TEST(MeanFieldFleetTest, RejectsAdaptiveSchemesAndRegionFaults) {

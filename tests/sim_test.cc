@@ -161,6 +161,31 @@ TEST(ClusterSim, WindowEnergyMatchesMeterIdentity) {
   }
 }
 
+// TakeWindows hands every closed window over exactly once, in order: the
+// takes of a stepped simulator concatenate to its twin's whole series.
+TEST(ClusterSim, TakeWindowsHandsEachWindowOverOnce) {
+  const auto trace = FlatTrace();
+  const serving::Deployment base =
+      serving::MakeBase(Application::kClassification, 2);
+  ClusterSim stepped(base, DefaultZoo(), &trace, Options(40.0, 9));
+  ClusterSim twin(base, DefaultZoo(), &trace, Options(40.0, 9));
+  std::vector<WindowRecord> taken;
+  for (const double t : {250.0, 900.0, 950.0, 2100.0}) {
+    stepped.AdvanceTo(t);
+    stepped.TakeWindows(&taken);
+    EXPECT_TRUE(stepped.windows().empty());
+  }
+  twin.AdvanceTo(2100.0);
+  ASSERT_EQ(taken.size(), 7u);
+  ASSERT_EQ(taken.size(), twin.windows().size());
+  for (std::size_t w = 0; w < taken.size(); ++w) {
+    EXPECT_EQ(taken[w].start_s, twin.windows()[w].start_s);
+    EXPECT_EQ(taken[w].completions, twin.windows()[w].completions);
+    EXPECT_EQ(taken[w].p95_ms, twin.windows()[w].p95_ms);
+    EXPECT_EQ(taken[w].energy_j, twin.windows()[w].energy_j);
+  }
+}
+
 TEST(ClusterSim, PartitionedClusterUsesLessEnergyPerRequest) {
   // The Fig. 3 effect: same variant, finer partition => lower energy per
   // request at equal load.
