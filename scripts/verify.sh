@@ -95,10 +95,16 @@ if [[ "${CLOVER_SKIP_CAMPAIGN:-}" != 1 ]]; then
       "$BUILD_DIR/campaign_w$w/CAMPAIGN_smoke.json"
   done
   # Both fleet tiers (discrete-event CLOVER regions, 1000 fluid regions):
-  # the same threads-vs-workers byte-identity, plus the schema check.
+  # the same threads-vs-workers byte-identity, plus the schema check. At
+  # --threads 1 both router cells share one slot's harness, so the second
+  # reuses the first's calibration; its fold must equal the 2-thread one.
   for name in fleet_routing_toy fleet_1000region_toy; do
     "$BUILD_DIR"/examples/clover_campaign run "campaigns/$name.json" \
       --threads 2 --out "$BUILD_DIR/campaign_${name}_t2"
+    "$BUILD_DIR"/examples/clover_campaign run "campaigns/$name.json" \
+      --threads 1 --out "$BUILD_DIR/campaign_${name}_t1"
+    cmp "$BUILD_DIR/campaign_${name}_t2/CAMPAIGN_$name.json" \
+      "$BUILD_DIR/campaign_${name}_t1/CAMPAIGN_$name.json"
     for w in 1 2; do
       "$BUILD_DIR"/examples/clover_campaign run "campaigns/$name.json" \
         --workers $w --out "$BUILD_DIR/campaign_${name}_w$w"

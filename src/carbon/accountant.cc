@@ -5,16 +5,12 @@
 
 namespace clover::carbon {
 
-CarbonAccountant::CarbonAccountant(const CarbonTrace* trace, double pue)
-    : trace_(trace), pue_(pue) {
-  CLOVER_CHECK(trace_ != nullptr);
+CarbonAccountant::CarbonAccountant(double pue) : pue_(pue) {
   CLOVER_CHECK(pue_ >= 1.0);
 }
 
-double CarbonAccountant::AccountWindow(double window_start_s,
-                                       double it_joules) {
+double CarbonAccountant::AccountEnergy(double ci, double it_joules) {
   CLOVER_CHECK(it_joules >= 0.0);
-  const double ci = trace_->At(window_start_s);
   const double grams = CarbonGrams(it_joules, ci, pue_);
   total_grams_ += grams;
   total_it_joules_ += it_joules;

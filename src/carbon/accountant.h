@@ -1,29 +1,26 @@
 // Carbon accounting: Carbon = Energy × Carbon Intensity (paper Sec. 2),
-// integrated window by window against a CI trace with the facility PUE
-// applied. This is the repo's analogue of the paper's modified
-// carbontracker service.
+// integrated window by window with the facility PUE applied. This is the
+// repo's analogue of the paper's modified carbontracker service.
 #pragma once
-
-#include "carbon/trace.h"
 
 namespace clover::carbon {
 
 class CarbonAccountant {
  public:
   // `pue`: facility power usage effectiveness multiplier (paper uses 1.5).
-  CarbonAccountant(const CarbonTrace* trace, double pue);
+  explicit CarbonAccountant(double pue);
 
-  // Accounts `it_joules` of IT energy consumed over the window starting at
-  // `window_start_s` (the window's CI sample is taken at its start, like
-  // carbontracker's periodic sampling). Returns the grams attributed.
-  double AccountWindow(double window_start_s, double it_joules);
+  // Accounts `it_joules` of IT energy consumed over a window at grid
+  // intensity `ci` (gCO2/kWh). Callers sample the CI trace at the window's
+  // start, like carbontracker's periodic sampling. Returns the grams
+  // attributed.
+  double AccountEnergy(double ci, double it_joules);
 
   double total_grams() const { return total_grams_; }
   double total_it_joules() const { return total_it_joules_; }
   double pue() const { return pue_; }
 
  private:
-  const CarbonTrace* trace_;
   double pue_;
   double total_grams_ = 0.0;
   double total_it_joules_ = 0.0;

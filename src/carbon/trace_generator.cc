@@ -1,9 +1,12 @@
 #include "carbon/trace_generator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
@@ -41,36 +44,34 @@ ProfileParams ParamsFor(TraceProfile profile) {
   return {200.0, 50.0, 40.0, 25.0, 6.0, 80.0, 350.0};
 }
 
-// Shared generation core. `phase_shift_hours` moves the diurnal harmonics
-// (a region's longitude offset); `amplitude_scale` multiplies the dip/ramp
-// amplitudes and the weather sigma. With phase 0 and amplitude 1 the
-// arithmetic reduces to the historical GenerateTrace exactly (x + 0.0 and
-// x * 1.0 are bit-identical), so existing traces are unchanged.
-CarbonTrace GenerateShaped(const ProfileParams& params,
-                           const std::string& trace_name,
-                           const std::string& stream_name,
-                           double phase_shift_hours, double amplitude_scale,
-                           const TraceGeneratorOptions& options) {
-  RngStream rng(options.seed, stream_name);
-
-  // At least one sample: a span shorter than one interval still has an
-  // intensity. Longer spans keep floor(duration / interval) samples.
-  const auto num_samples = std::max<std::size_t>(
+// At least one sample: a span shorter than one interval still has an
+// intensity. Longer spans keep floor(duration / interval) samples.
+std::size_t NumSamples(const TraceGeneratorOptions& options) {
+  return std::max<std::size_t>(
       1, static_cast<std::size_t>(HoursToSeconds(options.duration_hours) /
                                   options.sample_interval_s));
-  std::vector<double> values;
-  values.reserve(num_samples);
+}
 
+double SampleHours(const TraceGeneratorOptions& options) {
+  return options.sample_interval_s / 3600.0;
+}
+
+// The deterministic diurnal part of every sample, base + solar + ramp.
+// `phase_shift_hours` moves the harmonics (a region's longitude offset);
+// `amplitude_scale` multiplies the dip/ramp amplitudes. With phase 0 and
+// amplitude 1 the arithmetic reduces to the historical GenerateTrace
+// exactly (x + 0.0 and x * 1.0 are bit-identical), so existing traces are
+// unchanged.
+std::vector<double> DiurnalShape(const ProfileParams& params,
+                                 double phase_shift_hours,
+                                 double amplitude_scale,
+                                 const TraceGeneratorOptions& options) {
+  const std::size_t num_samples = NumSamples(options);
+  const double dt_hours = SampleHours(options);
   const double solar_dip = params.solar_dip * amplitude_scale;
   const double evening_ramp = params.evening_ramp * amplitude_scale;
-  const double ou_sigma = params.ou_sigma * amplitude_scale;
-
-  // Ornstein–Uhlenbeck weather process, exact discretization.
-  const double dt_hours = options.sample_interval_s / 3600.0;
-  const double decay = std::exp(-dt_hours / params.ou_tau_hours);
-  const double innovation_sigma = ou_sigma * std::sqrt(1.0 - decay * decay);
-  double weather = ou_sigma * rng.NextGaussian();
-
+  std::vector<double> shape;
+  shape.reserve(num_samples);
   constexpr double kTwoPi = 6.283185307179586;
   for (std::size_t i = 0; i < num_samples; ++i) {
     const double hour_of_day =
@@ -83,14 +84,37 @@ CarbonTrace GenerateShaped(const ProfileParams& params,
     // Evening-ramp harmonic peaking at 20:00.
     const double ramp =
         evening_ramp * std::cos(kTwoPi * (hour_of_day - 20.0) / 12.0);
+    shape.push_back(params.base + solar + ramp);
+  }
+  return shape;
+}
+
+// A trace from its diurnal shape plus an Ornstein–Uhlenbeck weather process
+// (exact discretization) drawn from the named stream, clamped to the
+// profile's floor and ceiling. `amplitude_scale` scales the weather sigma.
+CarbonTrace AddWeather(const ProfileParams& params,
+                       const std::vector<double>& shape,
+                       const std::string& trace_name,
+                       const std::string& stream_name, double amplitude_scale,
+                       const TraceGeneratorOptions& options) {
+  RngStream rng(options.seed, stream_name);
+  const double ou_sigma = params.ou_sigma * amplitude_scale;
+  const double decay = std::exp(-SampleHours(options) / params.ou_tau_hours);
+  const double innovation_sigma = ou_sigma * std::sqrt(1.0 - decay * decay);
+  double weather = ou_sigma * rng.NextGaussian();
+  std::vector<double> values;
+  values.reserve(shape.size());
+  for (const double diurnal : shape) {
     weather = decay * weather + innovation_sigma * rng.NextGaussian();
-    const double value =
-        std::clamp(params.base + solar + ramp + weather, params.floor,
-                   params.ceiling);
-    values.push_back(value);
+    values.push_back(
+        std::clamp(diurnal + weather, params.floor, params.ceiling));
   }
   return CarbonTrace(trace_name, options.sample_interval_s,
                      std::move(values));
+}
+
+std::string RegionStreamName(const RegionPreset& preset) {
+  return "carbon-trace-region-" + preset.name;
 }
 
 }  // namespace
@@ -109,11 +133,13 @@ const char* TraceProfileName(TraceProfile profile) {
 
 CarbonTrace GenerateTrace(TraceProfile profile,
                           const TraceGeneratorOptions& options) {
-  return GenerateShaped(ParamsFor(profile), TraceProfileName(profile),
-                        std::string("carbon-trace-") +
-                            TraceProfileName(profile),
-                        /*phase_shift_hours=*/0.0, /*amplitude_scale=*/1.0,
-                        options);
+  const ProfileParams params = ParamsFor(profile);
+  return AddWeather(params,
+                    DiurnalShape(params, /*phase_shift_hours=*/0.0,
+                                 /*amplitude_scale=*/1.0, options),
+                    TraceProfileName(profile),
+                    std::string("carbon-trace-") + TraceProfileName(profile),
+                    /*amplitude_scale=*/1.0, options);
 }
 
 const std::vector<RegionPreset>& NamedRegionPresets() {
@@ -134,10 +160,39 @@ const RegionPreset* FindRegionPreset(std::string_view name) {
 
 CarbonTrace GenerateRegionTrace(const RegionPreset& preset,
                                 const TraceGeneratorOptions& options) {
-  return GenerateShaped(ParamsFor(preset.profile), preset.name,
-                        "carbon-trace-region-" + preset.name,
-                        preset.phase_shift_hours, preset.amplitude_scale,
-                        options);
+  const ProfileParams params = ParamsFor(preset.profile);
+  return AddWeather(params,
+                    DiurnalShape(params, preset.phase_shift_hours,
+                                 preset.amplitude_scale, options),
+                    preset.name, RegionStreamName(preset),
+                    preset.amplitude_scale, options);
+}
+
+std::vector<CarbonTrace> GenerateRegionTraces(
+    const std::vector<RegionPreset>& presets,
+    const TraceGeneratorOptions& options) {
+  // Shapes keyed on the bit patterns of (profile, phase, amplitude): equal
+  // bits give equal arithmetic, whatever the values (signed zeros, NaNs).
+  using ShapeKey = std::tuple<TraceProfile, std::uint64_t, std::uint64_t>;
+  std::map<ShapeKey, std::vector<double>> shapes;
+  std::vector<CarbonTrace> traces;
+  traces.reserve(presets.size());
+  for (const RegionPreset& preset : presets) {
+    const ProfileParams params = ParamsFor(preset.profile);
+    const ShapeKey key{preset.profile,
+                       std::bit_cast<std::uint64_t>(preset.phase_shift_hours),
+                       std::bit_cast<std::uint64_t>(preset.amplitude_scale)};
+    auto shape = shapes.find(key);
+    if (shape == shapes.end())
+      shape = shapes
+                  .emplace(key, DiurnalShape(params, preset.phase_shift_hours,
+                                             preset.amplitude_scale, options))
+                  .first;
+    traces.push_back(AddWeather(params, shape->second, preset.name,
+                                RegionStreamName(preset),
+                                preset.amplitude_scale, options));
+  }
+  return traces;
 }
 
 CarbonTrace FlatTrace(double g_per_kwh, double duration_hours,

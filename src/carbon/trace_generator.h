@@ -14,7 +14,10 @@
 // Generation is deterministic given (profile, seed): two diurnal harmonics
 // plus an Ornstein–Uhlenbeck weather process, clamped to the profile's
 // floor. 48-hour evaluation traces (Fig. 8) and 14-day motivation traces
-// (Fig. 4) use the same profiles.
+// (Fig. 4) use the same profiles. The harmonics (the diurnal shape) depend
+// on the profile and a region's phase and amplitude only, so the batched
+// region generator computes each distinct shape once and adds per-region
+// weather to it.
 #pragma once
 
 #include <cstdint>
@@ -93,5 +96,14 @@ const RegionPreset* FindRegionPreset(std::string_view name);
 // weather stream, which is seeded per region name.
 CarbonTrace GenerateRegionTrace(const RegionPreset& preset,
                                 const TraceGeneratorOptions& options = {});
+
+// GenerateRegionTrace for each preset, in order, with values equal to it
+// bit for bit. A trace is a diurnal shape — fixed by (profile, phase,
+// amplitude) — plus the region's own weather, so the shape is computed once
+// per distinct triple and shared: a fleet that tiles four presets over
+// thousands of replicas evaluates four shapes, then only the weather.
+std::vector<CarbonTrace> GenerateRegionTraces(
+    const std::vector<RegionPreset>& presets,
+    const TraceGeneratorOptions& options = {});
 
 }  // namespace clover::carbon

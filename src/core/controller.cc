@@ -43,8 +43,7 @@ Controller::Controller(sim::ClusterSim* sim, const models::ModelZoo* zoo,
   eval_options.l_tail_ms = params_.l_tail_ms;
   sim_evaluator_ = std::make_unique<opt::SimEvaluator>(sim_, &mapper_,
                                                        eval_options);
-  cache_ = std::make_unique<opt::CachingEvaluator>(sim_evaluator_.get(),
-                                                   options_.eval_cache);
+  cache_ = std::make_unique<opt::CachingEvaluator>(sim_evaluator_.get());
 
   // Screen-then-simulate: build the analytic fast tier matched to the
   // production workload and push the factor into the search options.
@@ -83,7 +82,7 @@ ControllerSnapshot Controller::Snapshot() const {
     snapshot.last_ci = history_.back().ci;
     snapshot.last_best_f = history_.back().search.best_f;
   }
-  snapshot.cache_size = cache_->store()->size();
+  snapshot.cache_size = cache_->size();
   snapshot.cache_hits = cache_->hits();
   snapshot.total_optimization_seconds = total_opt_seconds_;
   snapshot.last_committed = last_compliant_;

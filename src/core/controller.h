@@ -79,11 +79,6 @@ class Controller {
     int screen_factor = 1;
     opt::SimulatedAnnealing::Options sa;
     opt::RandomSearch::Options rs;
-    // Evaluation-cache storage to attach to (nullptr = a private store).
-    // The fleet controller shares one store across same-sized regions so
-    // their searches pool evaluations (see opt::EvalCacheStore for the
-    // serial-use contract that sharing imposes).
-    std::shared_ptr<opt::EvalCacheStore> eval_cache;
     std::uint64_t seed = 1;
   };
 

@@ -295,8 +295,8 @@ void ReportClaimConflict(const CampaignSpec& spec, const CellSpec& cell,
   throw;
 }
 
-// Executes one cell on the given reusable harness (ignored for fleet
-// cells); throws whatever the harness throws.
+// Executes one cell on the given reusable harness (fleet cells borrow its
+// calibration cache); throws whatever the harness throws.
 CellOutcome ExecuteCell(const CampaignSpec& spec, const CellSpec& cell,
                         core::ExperimentHarness* harness) {
   CLOVER_TRACE_SCOPE("campaign.cell");
@@ -318,9 +318,9 @@ CellOutcome ExecuteCell(const CampaignSpec& spec, const CellSpec& cell,
     const fleet::FleetReport fleet_report =
         cell.meanfield
             ? fleet::RunFleetMeanField(MakeFleetCellConfig(cell),
-                                       models::DefaultZoo())
-            : fleet::RunFleet(MakeFleetCellConfig(cell),
-                              models::DefaultZoo());
+                                       models::DefaultZoo(), harness)
+            : fleet::RunFleet(MakeFleetCellConfig(cell), models::DefaultZoo(),
+                              harness);
     outcome.report = fleet_report.fleet;
     for (const fleet::RegionReport& region : fleet_report.regions)
       outcome.candidates += CountCandidates(region.report);

@@ -25,20 +25,6 @@ FleetController::FleetController(
 
   const bool adaptive = options_.scheme == core::Scheme::kClover ||
                         options_.scheme == core::Scheme::kBlover;
-  // Cache sharing only means anything when controllers exist; for static
-  // schemes the flag must not cost the parallel region step.
-  const bool sharing = options_.share_eval_cache && adaptive;
-  if (sharing) {
-    // Cached outcomes are keyed by configuration graph alone, so sharing is
-    // only sound between regions whose evaluations are exchangeable —
-    // i.e. the same cluster size (rates differ over time anyway; that
-    // staleness is the cache's documented approximation).
-    for (const auto& region : *regions_)
-      CLOVER_CHECK_MSG(
-          region->num_gpus() == (*regions_)[0]->num_gpus(),
-          "share_eval_cache requires equal region fleet sizes");
-    shared_cache_ = std::make_shared<opt::EvalCacheStore>();
-  }
   if (adaptive) {
     controllers_.reserve(regions_->size());
     for (std::size_t i = 0; i < regions_->size(); ++i) {
@@ -46,16 +32,18 @@ FleetController::FleetController(
       core::Controller::Options controller_options = options_.controller;
       controller_options.scheme = options_.scheme;
       controller_options.seed = RegionSeed(options_.seed, i);
-      controller_options.eval_cache = shared_cache_;
       controllers_.push_back(std::make_unique<core::Controller>(
           &region.sim(), zoo_, &region.trace(), params,
           controller_options));
     }
   }
-  if (options_.threads > 1 && !sharing && regions_->size() > 1)
+  if (options_.threads > 1 && regions_->size() > 1)
     pool_ = std::make_unique<ThreadPool>(options_.threads);
 
-  Rebalance(0.0);
+  snapshots_.reserve(regions_->size());
+  for (const auto& region : *regions_)
+    snapshots_.push_back(region->Snapshot(0.0));
+  Rebalance();
 }
 
 void FleetController::Step(double t) {
@@ -71,6 +59,7 @@ void FleetController::Step(double t) {
     if (!controllers_.empty() && region.OnlineAt(t) &&
         region.assigned_qps() > 0.0)
       controllers_[i]->Step();
+    snapshots_[i] = region.Snapshot(t);
   };
   {
     // Phase 1: regions advance independently (possibly in parallel).
@@ -84,17 +73,14 @@ void FleetController::Step(double t) {
   }
   // Phase 2 (serial fold) — also the fleet's deterministic barrier, so
   // fold the metric registry here.
-  Rebalance(t);
+  Rebalance();
   CLOVER_OBS_SAMPLE(t);
 }
 
-void FleetController::Rebalance(double t) {
+void FleetController::Rebalance() {
   CLOVER_TRACE_SCOPE("fleet.rebalance");
-  std::vector<RegionSnapshot> snapshots;
-  snapshots.reserve(regions_->size());
-  for (const auto& region : *regions_) snapshots.push_back(region->Snapshot(t));
   std::vector<double> weights =
-      router_->Split(snapshots, total_qps_, options_.router);
+      router_->Split(snapshots_, total_qps_, options_.router);
   CLOVER_CHECK_MSG(weights.size() == regions_->size(),
                    "router returned " << weights.size() << " weights for "
                                       << regions_->size() << " regions");
@@ -115,7 +101,6 @@ FleetController::ControllerSnapshots() const {
 }
 
 std::uint64_t FleetController::total_cache_hits() const {
-  if (shared_cache_ != nullptr) return shared_cache_->hits();
   std::uint64_t total = 0;
   for (const auto& controller : controllers_) total += controller->cache_hits();
   return total;

@@ -4,20 +4,17 @@
 // Each step has two phases:
 //   1. Region step (parallel). Every region advances its simulator —
 //      discrete-event or fluid, whichever backend the region holds — to the
-//      control boundary and, when the fleet runs an adaptive scheme, runs
-//      its own core::Controller invocation. Regions share no mutable state,
-//      so the steps fan out over common/thread_pool; results are folded
-//      back in region-index order.
-//   2. Rebalance (serial). Snapshots are collected in region order, the
-//      router computes the new split, and the per-region arrival rates are
+//      control boundary, runs its own core::Controller invocation when the
+//      fleet runs an adaptive scheme, and last takes its router snapshot
+//      into its own slot. Regions share no mutable state, so the steps fan
+//      out over common/thread_pool.
+//   2. Rebalance (serial). The router splits the stream over the snapshot
+//      slots, read in region order, and the per-region arrival rates are
 //      applied — all on the calling thread.
-// Because phase 2 is a serial fold over state that each region computed
-// independently, fleet runs are bit-identical across thread counts
-// (asserted by tests/fleet_test.cc at 1/2/8 threads).
-//
-// Sharing one evaluation-cache store across regions (share_eval_cache)
-// couples the region steps through the cache, so the controller then runs
-// phase 1 serially — trading the fan-out for cross-region reuse.
+// A snapshot taken at the end of its region's step equals one taken after
+// every region stepped (it reads only its own region), and phase 2 is a
+// serial fold over the slots, so fleet runs are bit-identical across thread
+// counts (asserted by tests/fleet_test.cc at 1/2/8 threads).
 #pragma once
 
 #include <cstdint>
@@ -42,9 +39,6 @@ struct FleetControllerOptions {
   core::Controller::Options controller;  // template; seed is set per region
   RouterOptions router;
   int threads = 1;  // region-step fan-out width
-  // One opt::EvalCacheStore shared by all regions with the same fleet size
-  // (serializes the region step; see header comment).
-  bool share_eval_cache = false;
   std::uint64_t seed = 1;
 };
 
@@ -58,7 +52,8 @@ class FleetController {
                   const opt::ObjectiveParams& params, double total_qps,
                   const FleetControllerOptions& options);
 
-  // Advances every region to `t`, runs its control step, then rebalances.
+  // Advances every region to `t`, runs its control step and takes its
+  // snapshot, then rebalances.
   void Step(double t);
 
   // Moves out the routing weights, one entry per rebalance (index 0 = the
@@ -76,7 +71,8 @@ class FleetController {
   const core::Controller* controller(std::size_t region_index) const;
 
  private:
-  void Rebalance(double t);
+  // Splits the stream over snapshots_ and applies the rates.
+  void Rebalance();
 
   std::vector<std::unique_ptr<Region>>* regions_;
   const models::ModelZoo* zoo_;
@@ -86,7 +82,9 @@ class FleetController {
 
   std::unique_ptr<ThreadPool> pool_;  // only when fan-out is possible
   std::vector<std::unique_ptr<core::Controller>> controllers_;  // may be empty
-  std::shared_ptr<opt::EvalCacheStore> shared_cache_;
+  // One slot per region, written by the region's own step, read by the
+  // rebalance that follows.
+  std::vector<RegionSnapshot> snapshots_;
 
   std::vector<std::vector<double>> weight_history_;
 };

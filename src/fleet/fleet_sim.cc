@@ -50,54 +50,68 @@ void AggregateRegionTotals(const std::vector<std::unique_ptr<Region>>& regions,
   fleet.overall_p99_ms = merged_latency.Quantile(0.99);
 }
 
-// The fleet run over regions of one backend: calibration, region setup,
-// the control loop and report assembly, shared by both fidelity tiers.
-FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
-                       Region::Backend backend) {
-  CLOVER_CHECK_MSG(!config.regions.empty(), "fleet needs >= 1 region");
-  CLOVER_CHECK(config.duration_hours > 0.0);
-  CLOVER_CHECK(config.control_interval_s > 0.0);
-  const auto wall_start = std::chrono::steady_clock::now();
+// What the control loop starts from: the shared calibration and objective,
+// the global offered load, and one region per config entry.
+struct FleetSetup {
+  core::BaselineCalibration calibration;
+  opt::ObjectiveParams params;
+  double total_qps = 0.0;
+  std::vector<std::unique_ptr<Region>> regions;
+};
 
+FleetSetup SetUpFleet(const FleetConfig& config, const models::ModelZoo& zoo,
+                      Region::Backend backend,
+                      core::ExperimentHarness* harness) {
+  CLOVER_TRACE_SCOPE("fleet.setup");
+  FleetSetup setup;
   // Shared SLA/baseline calibration, anchored on the first region's fleet
   // size (the paper's sizing rule; fleet regions are normally uniform). It
   // is the discrete-event BASE run on both tiers, so fluid fleets are
-  // judged against the same yardstick.
-  core::ExperimentHarness harness(&zoo);
-  const core::BaselineCalibration& calibration =
-      harness.Calibrate(config.app, config.regions[0].num_gpus,
-                        /*utilization_target=*/0.75, std::nullopt,
-                        config.seed);
+  // judged against the same yardstick. A caller's harness lends its cache.
+  std::optional<core::ExperimentHarness> own_harness;
+  if (harness == nullptr) harness = &own_harness.emplace(&zoo);
+  CLOVER_CHECK_MSG(&harness->zoo() == &zoo,
+                   "fleet harness calibrates over a different model zoo");
+  setup.calibration =
+      harness->Calibrate(config.app, config.regions[0].num_gpus,
+                         /*utilization_target=*/0.75, std::nullopt,
+                         config.seed);
 
-  opt::ObjectiveParams params;
+  opt::ObjectiveParams& params = setup.params;
   params.lambda = config.lambda;
-  params.a_base = calibration.a_base;
-  params.c_base_g = CarbonGrams(calibration.energy_per_request_j,
+  params.a_base = setup.calibration.a_base;
+  params.c_base_g = CarbonGrams(setup.calibration.energy_per_request_j,
                                 config.ci_base, perf::kPue);
-  params.l_tail_ms = calibration.l_tail_ms;
+  params.l_tail_ms = setup.calibration.l_tail_ms;
   params.pue = perf::kPue;
 
-  const double total_qps = config.total_qps.value_or([&] {
+  setup.total_qps = config.total_qps.value_or([&] {
     double total = 0.0;
     for (const RegionConfig& region : config.regions)
       total += sim::SizeArrivalRate(zoo, config.app, region.num_gpus,
                                     config.utilization_target);
     return total;
   }());
-  CLOVER_CHECK(total_qps > 0.0);
+  CLOVER_CHECK(setup.total_qps > 0.0);
 
-  // Regions: own trace per preset, BASE starting deployment, uniform
-  // bootstrap split (the router takes over at t = 0).
-  std::vector<std::unique_ptr<Region>> regions;
-  regions.reserve(config.regions.size());
+  // Regions: own trace per preset (the diurnal shapes shared between
+  // replicas of a preset), BASE starting deployment, uniform bootstrap
+  // split (the router takes over at t = 0).
   carbon::TraceGeneratorOptions trace_options;
   trace_options.duration_hours = config.duration_hours;
   trace_options.seed = config.seed + 41;  // independent of simulation streams
+  std::vector<carbon::RegionPreset> presets;
+  presets.reserve(config.regions.size());
+  for (const RegionConfig& region_config : config.regions)
+    presets.push_back(region_config.preset);
+  std::vector<carbon::CarbonTrace> traces =
+      carbon::GenerateRegionTraces(presets, trace_options);
+  setup.regions.reserve(config.regions.size());
   for (std::size_t i = 0; i < config.regions.size(); ++i) {
     const RegionConfig& region_config = config.regions[i];
     sim::SimOptions sim_options;
     sim_options.arrival_rate_qps =
-        total_qps / static_cast<double>(config.regions.size());
+        setup.total_qps / static_cast<double>(config.regions.size());
     sim_options.window_seconds = config.control_interval_s;
     sim_options.seed = RegionSeed(config.seed, i);
     // Region-local faults: the simulator replays GPU fail-stops and flash
@@ -105,16 +119,33 @@ FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
     // sim/fault_injector.h) so the whole regional pipeline sees the held
     // reading; RTT spikes are consumed by Region::LatencyPenaltyAt.
     sim_options.faults = region_config.faults;
-    carbon::CarbonTrace trace =
-        carbon::GenerateRegionTrace(region_config.preset, trace_options);
+    carbon::CarbonTrace trace = std::move(traces[i]);
     if (!region_config.faults.trace_dropouts.empty())
       trace = sim::ApplyTraceDropouts(trace,
                                       region_config.faults.trace_dropouts);
-    regions.push_back(std::make_unique<Region>(
+    setup.regions.push_back(std::make_unique<Region>(
         region_config, &zoo, std::move(trace),
         serving::MakeBase(config.app, region_config.num_gpus), sim_options,
         backend));
   }
+  return setup;
+}
+
+// The fleet run over regions of one backend: set-up, the control loop and
+// report assembly, shared by both fidelity tiers.
+FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
+                       Region::Backend backend,
+                       core::ExperimentHarness* harness) {
+  CLOVER_CHECK_MSG(!config.regions.empty(), "fleet needs >= 1 region");
+  CLOVER_CHECK(config.duration_hours > 0.0);
+  CLOVER_CHECK(config.control_interval_s > 0.0);
+  const auto wall_start = std::chrono::steady_clock::now();
+
+  FleetSetup setup = SetUpFleet(config, zoo, backend, harness);
+  const core::BaselineCalibration& calibration = setup.calibration;
+  const opt::ObjectiveParams& params = setup.params;
+  const double total_qps = setup.total_qps;
+  std::vector<std::unique_ptr<Region>>& regions = setup.regions;
 
   std::unique_ptr<Router> router = MakeRouter(config.router);
   FleetControllerOptions controller_options;
@@ -125,7 +156,6 @@ FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
     controller_options.router.slo_budget_ms =
         config.slo_budget_factor * params.l_tail_ms;
   controller_options.threads = config.threads;
-  controller_options.share_eval_cache = config.share_eval_cache;
   controller_options.seed = config.seed;
   FleetController fleet_controller(&regions, &zoo, router.get(), params,
                                    total_qps, controller_options);
@@ -202,8 +232,6 @@ FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
     if (const core::Controller* controller = fleet_controller.controller(i)) {
       report.optimizations = controller->history();
       report.optimization_seconds = controller->total_optimization_seconds();
-      // Store-scoped: with share_eval_cache this is the fleet-wide count
-      // (every region reads the one shared store), same as the snapshot.
       report.cache_hits = controller->cache_hits();
     }
     region_report.controller = controller_snapshots[i];
@@ -217,8 +245,6 @@ FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
   AggregateRegionTotals(regions, &fleet_report);
   fold.TakeSeries(&fleet);
   fleet_report.slo_attainment = fold.slo_attainment();
-  // Not summed from the regions: with a shared store every controller
-  // reports the store-wide counter, and summing would multiply it by N.
   fleet.cache_hits = fleet_controller.total_cache_hits();
 
   fleet.wall_seconds =
@@ -249,12 +275,14 @@ std::vector<RegionConfig> RegionsFromPresets(
   return regions;
 }
 
-FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo) {
-  return RunFleetOn(config, zoo, Region::Backend::kDiscreteEvent);
+FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo,
+                     core::ExperimentHarness* harness) {
+  return RunFleetOn(config, zoo, Region::Backend::kDiscreteEvent, harness);
 }
 
 FleetReport RunFleetMeanField(const FleetConfig& config,
-                              const models::ModelZoo& zoo) {
+                              const models::ModelZoo& zoo,
+                              core::ExperimentHarness* harness) {
   CLOVER_CHECK_MSG(config.scheme == core::Scheme::kBase,
                    "mean-field fleet runs static schemes only (adaptive "
                    "schemes need the per-region controller, whose "
@@ -262,7 +290,7 @@ FleetReport RunFleetMeanField(const FleetConfig& config,
   for (const RegionConfig& region : config.regions)
     CLOVER_CHECK_MSG(region.faults.Empty(),
                      "mean-field fleet does not model region faults");
-  return RunFleetOn(config, zoo, Region::Backend::kMeanField);
+  return RunFleetOn(config, zoo, Region::Backend::kMeanField, harness);
 }
 
 bool FleetReportsBitIdentical(const FleetReport& a, const FleetReport& b) {

@@ -48,7 +48,6 @@ struct FleetConfig {
   double slo_budget_factor = 1.25;
   std::uint64_t seed = 1;
   int threads = 1;
-  bool share_eval_cache = false;
   core::Controller::Options controller;
 };
 
@@ -83,7 +82,11 @@ struct FleetReport {
   std::vector<std::vector<double>> weight_history;
 };
 
-FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo);
+// `harness`, when given, lends its calibration cache (a campaign slot's, so
+// cells that share the slot calibrate once); it must calibrate over `zoo`.
+// Results do not depend on it: calibration is deterministic per setting.
+FleetReport RunFleet(const FleetConfig& config, const models::ModelZoo& zoo,
+                     core::ExperimentHarness* harness = nullptr);
 
 // Bit-identity predicate for the fleet determinism contract: every counter,
 // total, quantile and routing weight equal across the two reports. Thread

@@ -23,7 +23,9 @@ namespace clover::fleet {
 
 // Runs the fleet control loop over mean-field regions. CheckError when
 // `config.scheme` is adaptive or any region carries a fault schedule.
+// `harness` as in RunFleet.
 FleetReport RunFleetMeanField(const FleetConfig& config,
-                              const models::ModelZoo& zoo);
+                              const models::ModelZoo& zoo,
+                              core::ExperimentHarness* harness = nullptr);
 
 }  // namespace clover::fleet

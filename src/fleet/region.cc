@@ -73,7 +73,6 @@ double Region::LatencyPenaltyAt(double t) const {
 
 RegionSnapshot Region::Snapshot(double t) const {
   RegionSnapshot snapshot;
-  snapshot.name = name();
   snapshot.online = OnlineAt(t);
   snapshot.ci = trace_.At(t);
   if (cluster_) {

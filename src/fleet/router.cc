@@ -113,18 +113,27 @@ std::vector<double> CarbonGreedyRouter::Split(
   }
 
   // Cleanest grids first; ties broken toward the ingress, then by index —
-  // a total order, so the split is deterministic.
-  std::vector<std::size_t> order = eligible;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (regions[a].ci != regions[b].ci) return regions[a].ci < regions[b].ci;
-    if (regions[a].latency_penalty_ms != regions[b].latency_penalty_ms)
-      return regions[a].latency_penalty_ms < regions[b].latency_penalty_ms;
-    return a < b;
+  // a total order, so the split is deterministic. The sort keys sit
+  // contiguously rather than behind an index into the snapshots.
+  struct Key {
+    double ci;
+    double penalty_ms;
+    std::size_t index;
+  };
+  std::vector<Key> order;
+  order.reserve(eligible.size());
+  for (std::size_t i : eligible)
+    order.push_back({regions[i].ci, regions[i].latency_penalty_ms, i});
+  std::sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
+    if (a.ci != b.ci) return a.ci < b.ci;
+    if (a.penalty_ms != b.penalty_ms) return a.penalty_ms < b.penalty_ms;
+    return a.index < b.index;
   });
 
   std::vector<double> alloc(regions.size(), 0.0);
   double remaining = total_qps;
-  for (std::size_t i : order) {
+  for (const Key& key : order) {
+    const std::size_t i = key.index;
     double headroom = 1.0;
     if (options.slo_budget_ms > 0.0)
       headroom = std::max(

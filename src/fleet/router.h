@@ -6,10 +6,10 @@
 // load between regions whose intensities are anti-correlated — on top.
 //
 // Policies are pure functions of the per-region snapshots: no hidden state,
-// no clocks, no RNG. The fleet controller collects snapshots in region
-// order (a serial fold after the parallel region step) and applies the
-// split serially, which is what makes fleet runs bit-identical across
-// thread counts.
+// no clocks, no RNG. Each region writes its own snapshot slot at the end of
+// its (possibly parallel) step; the fleet controller hands the slots to the
+// router in region order and applies the split serially, which is what
+// makes fleet runs bit-identical across thread counts.
 #pragma once
 
 #include <memory>
@@ -18,9 +18,9 @@
 
 namespace clover::fleet {
 
-// Router-visible state of one region at a rebalance point.
+// Router-visible state of one region at a rebalance point, identified by
+// its position in the snapshot list (the fleet's region order).
 struct RegionSnapshot {
-  std::string name;
   bool online = true;        // false during a scheduled ingress outage
   double ci = 0.0;           // grid carbon intensity now (gCO2/kWh)
   double capacity_qps = 0.0; // nominal capacity of the current deployment

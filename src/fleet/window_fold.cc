@@ -35,6 +35,46 @@ void WindowFold::FoldReady() {
                 queue.begin() + static_cast<std::ptrdiff_t>(ready));
 }
 
+namespace {
+
+// The largest value v among `masses` (value, count) whose mass at or above
+// v exceeds `tail`: what a walk down the masses sorted slowest first
+// returns at the first point where the running count passes `tail`, ties
+// included. Found by weighted selection instead of a sort: partition around
+// a pivot into slower / as slow / faster, keep the part that holds the
+// crossing, and carry the mass of the slower parts dropped on the way.
+// Requires a crossing to exist (the total mass exceeds `tail`).
+double TailValue(std::vector<std::pair<double, std::uint64_t>>* masses,
+                 double tail) {
+  auto lo = masses->begin();
+  auto hi = masses->end();
+  std::uint64_t above = 0;  // mass of the dropped slower parts
+  for (;;) {
+    const double pivot = lo[(hi - lo) / 2].first;
+    const auto slower = std::partition(lo, hi, [pivot](const auto& mass) {
+      return mass.first > pivot;
+    });
+    // !(x < pivot) keeps the pivot itself in the middle part, so every
+    // round shrinks the range.
+    const auto tied = std::partition(slower, hi, [pivot](const auto& mass) {
+      return !(mass.first < pivot);
+    });
+    std::uint64_t mass_slower = above;
+    for (auto it = lo; it != slower; ++it) mass_slower += it->second;
+    if (static_cast<double>(mass_slower) > tail) {
+      hi = slower;
+      continue;
+    }
+    std::uint64_t mass_tied = mass_slower;
+    for (auto it = slower; it != tied; ++it) mass_tied += it->second;
+    if (static_cast<double>(mass_tied) > tail) return pivot;
+    above = mass_tied;
+    lo = tied;
+  }
+}
+
+}  // namespace
+
 // The window p95 approximates the merged distribution by one point mass per
 // region at its p95 (plus its network penalty): walking the masses from
 // slowest down, the 95th percentile is the first value with more than 5% of
@@ -70,17 +110,9 @@ void WindowFold::FoldIndex(std::size_t w) {
     }
     ci_energy += region_window.ci * region_window.energy_j;
   }
-  std::sort(tail_masses_.begin(), tail_masses_.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::uint64_t mass_above = 0;
-  for (const auto& [value, count] : tail_masses_) {
-    mass_above += count;
-    if (static_cast<double>(mass_above) >
-        0.05 * static_cast<double>(window.completions)) {
-      window.p95_ms = value;
-      break;
-    }
-  }
+  if (!tail_masses_.empty())
+    window.p95_ms = TailValue(
+        &tail_masses_, 0.05 * static_cast<double>(window.completions));
   window.mean_ms =
       window.completions
           ? mean_weighted / static_cast<double>(window.completions)

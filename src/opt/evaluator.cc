@@ -37,40 +37,23 @@ EvalOutcome SimEvaluator::Evaluate(const graph::ConfigGraph& graph) {
   return outcome;
 }
 
-const EvalCacheStore::Entry* EvalCacheStore::Lookup(
-    std::uint64_t key, const graph::ConfigGraph& graph) {
-  auto it = cache_.find(key);
-  if (it != cache_.end() && it->second.graph == graph) {
-    ++hits_;
-    return &it->second;
-  }
-  ++misses_;
-  return nullptr;
-}
-
-void EvalCacheStore::Insert(std::uint64_t key,
-                            const graph::ConfigGraph& graph,
-                            const EvalOutcome& outcome) {
-  cache_.insert_or_assign(key, Entry{graph, outcome});
-}
-
-CachingEvaluator::CachingEvaluator(Evaluator* inner,
-                                   std::shared_ptr<EvalCacheStore> store)
-    : inner_(inner), store_(std::move(store)) {
+CachingEvaluator::CachingEvaluator(Evaluator* inner) : inner_(inner) {
   CLOVER_CHECK(inner_ != nullptr);
-  if (store_ == nullptr) store_ = std::make_shared<EvalCacheStore>();
 }
 
 EvalOutcome CachingEvaluator::Evaluate(const graph::ConfigGraph& graph) {
   const std::uint64_t key = graph.Key();
-  if (const EvalCacheStore::Entry* entry = store_->Lookup(key, graph)) {
-    EvalOutcome cached = entry->outcome;
+  auto it = cache_.find(key);
+  if (it != cache_.end() && it->second.graph == graph) {
+    ++hits_;
+    EvalOutcome cached = it->second.outcome;
     cached.from_cache = true;
     cached.cost_seconds = 0.0;
     return cached;
   }
+  ++misses_;
   EvalOutcome outcome = inner_->Evaluate(graph);
-  store_->Insert(key, graph, outcome);
+  cache_.insert_or_assign(key, Entry{graph, outcome});
   return outcome;
 }
 

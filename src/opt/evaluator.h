@@ -77,60 +77,30 @@ class SimEvaluator : public Evaluator {
   Options options_;
 };
 
-// Shareable storage behind CachingEvaluator: the graph-keyed entry map plus
-// hit/miss counters. A store handle (std::shared_ptr) can be passed to
-// several CachingEvaluators — the fleet controller hands one handle to
-// same-sized regional controllers so spatially separated searches reuse
-// each other's evaluations — and outlives any single evaluator, so learned
-// entries persist across controller rebuilds.
-//
-// Thread-safety: none. Sharers must evaluate serially (the fleet controller
-// steps regions serially whenever a store is shared); a per-controller
-// private store imposes no such constraint.
-class EvalCacheStore {
- public:
-  struct Entry {
-    graph::ConfigGraph graph;  // collision guard
-    EvalOutcome outcome;
-  };
-
-  // Entry for (key, graph), or nullptr; counts the hit/miss.
-  const Entry* Lookup(std::uint64_t key, const graph::ConfigGraph& graph);
-  void Insert(std::uint64_t key, const graph::ConfigGraph& graph,
-              const EvalOutcome& outcome);
-
-  std::size_t size() const { return cache_.size(); }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  void ResetCounters() { hits_ = misses_ = 0; }
-
- private:
-  std::unordered_map<std::uint64_t, Entry> cache_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
 // Graph-keyed memoization. Cached entries return instantly (cost 0) — the
 // "Saved" share of Fig. 12(b). Note the cache stores (A, E, L); the
 // CI-dependent objective is recomputed by the caller, so entries stay valid
 // across carbon-intensity changes.
 class CachingEvaluator : public Evaluator {
  public:
-  // Private store by default; pass a shared handle to pool evaluations
-  // across evaluators (see EvalCacheStore for the sharing contract).
-  explicit CachingEvaluator(Evaluator* inner,
-                            std::shared_ptr<EvalCacheStore> store = nullptr);
+  explicit CachingEvaluator(Evaluator* inner);
 
   EvalOutcome Evaluate(const graph::ConfigGraph& graph) override;
 
-  const std::shared_ptr<EvalCacheStore>& store() const { return store_; }
-  std::uint64_t hits() const { return store_->hits(); }
-  std::uint64_t misses() const { return store_->misses(); }
-  void ResetCounters() { store_->ResetCounters(); }
+  std::size_t size() const { return cache_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
 
  private:
+  struct Entry {
+    graph::ConfigGraph graph;  // collision guard
+    EvalOutcome outcome;
+  };
+
   Evaluator* inner_;
-  std::shared_ptr<EvalCacheStore> store_;
+  std::unordered_map<std::uint64_t, Entry> cache_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 // Offline evaluator that replays each candidate on a private, freshly

@@ -93,9 +93,12 @@ std::vector<double> MmcQueueLengthPmf(const MmcConfig& config, int max_n) {
 }
 
 double MmcWaitQuantile(const MmcConfig& config, double q) {
-  ValidateConfig(config);
+  return MmcWaitQuantile(config, AnalyzeMmc(config), q);
+}
+
+double MmcWaitQuantile(const MmcConfig& config, const MmcMetrics& metrics,
+                       double q) {
   CLOVER_CHECK(q >= 0.0 && q < 1.0);
-  const MmcMetrics metrics = AnalyzeMmc(config);
   if (q <= 1.0 - metrics.wait_probability) return 0.0;
   const double drain_rate = static_cast<double>(config.servers) *
                                 config.service_rate -
@@ -127,8 +130,12 @@ double SojournCcdf(double t, double mu, double theta, double wait_prob) {
 }  // namespace
 
 double MmcSojournQuantile(const MmcConfig& config, double q) {
+  return MmcSojournQuantile(config, AnalyzeMmc(config), q);
+}
+
+double MmcSojournQuantile(const MmcConfig& config, const MmcMetrics& metrics,
+                          double q) {
   CLOVER_CHECK(q >= 0.0 && q < 1.0);
-  const MmcMetrics metrics = AnalyzeMmc(config);
   const double mu = config.service_rate;
   const double theta =
       static_cast<double>(config.servers) * mu - config.arrival_rate;

@@ -62,6 +62,10 @@ std::vector<double> MmcQueueLengthPmf(const MmcConfig& config, int max_n);
 // P(Wq <= t) >= q. For M/M/c FIFO, P(Wq > t) = C(c,a) e^{-(c mu - lambda)t},
 // so quantiles below 1 - C are 0 (served immediately).
 double MmcWaitQuantile(const MmcConfig& config, double q);
+// The same quantile from `metrics` = AnalyzeMmc(config), for callers that
+// already hold them (no second Erlang-C evaluation).
+double MmcWaitQuantile(const MmcConfig& config, const MmcMetrics& metrics,
+                       double q);
 
 // Quantile of the sojourn time T = Wq + S (wait plus exponential service).
 // The CCDF is the closed-form convolution of the Erlang-C wait with an
@@ -70,6 +74,9 @@ double MmcWaitQuantile(const MmcConfig& config, double q);
 // mean-field fidelity tier (sim/meanfield.h), so both tiers quote the same
 // p95 for the same aggregate M/M/c and differ only in their dynamics.
 double MmcSojournQuantile(const MmcConfig& config, double q);
+// The same quantile from `metrics` = AnalyzeMmc(config).
+double MmcSojournQuantile(const MmcConfig& config, const MmcMetrics& metrics,
+                          double q);
 
 // ---------------------------------------------------------------------------
 // M/M/c/K: at most `capacity` customers in the system (c in service,

@@ -24,7 +24,8 @@ ClusterSim::ClusterSim(serving::Deployment initial,
       arrivals_(options.arrival_rate_qps, options.seed, options.burst),
       jitter_rng_(options.seed, "service-jitter"),
       meter_(deployment_.NumGpus()),
-      accountant_(trace, options.pue) {
+      accountant_(options.pue) {
+  CLOVER_CHECK(trace_ != nullptr);
   deployment_.Validate(zoo);
   CLOVER_CHECK(options_.window_seconds > 0.0);
   base_rate_qps_ = options_.arrival_rate_qps;
@@ -222,8 +223,8 @@ void ClusterSim::CloseWindow() {
   record.max_ms = window_acc_.max_ms();
   record.weighted_accuracy = window_acc_.weighted_accuracy();
   record.energy_j = meter_.DrainWindowJoules(options_.window_seconds);
-  record.carbon_g = accountant_.AccountWindow(window_start_, record.energy_j);
   record.ci = trace_->At(window_start_);
+  record.carbon_g = accountant_.AccountEnergy(record.ci, record.energy_j);
   windows_.push_back(record);
   window_acc_.Reset();
   window_start_ = window_end;

@@ -57,7 +57,8 @@ MeanFieldSim::MeanFieldSim(const serving::Deployment& initial,
       num_gpus_(initial.NumGpus()),
       trace_(trace),
       options_(options),
-      accountant_(trace, options.pue) {
+      accountant_(options.pue) {
+  CLOVER_CHECK(trace_ != nullptr);
   CLOVER_CHECK_MSG(!classes_.empty(), "mean-field sim needs >= 1 class");
   CLOVER_CHECK(num_gpus_ > 0);
   CLOVER_CHECK(options_.window_seconds > 0.0);
@@ -155,8 +156,8 @@ void MeanFieldSim::CloseWindow() {
           window_s +
       window_dynamic_j_;
   total_energy_j_ += record.energy_j;
-  record.carbon_g = accountant_.AccountWindow(window_start_, record.energy_j);
   record.ci = trace_->At(window_start_);
+  record.carbon_g = accountant_.AccountEnergy(record.ci, record.energy_j);
   total_carbon_g_ += record.carbon_g;
 
   // Window latency from the aggregate M/M/c at the window's mean offered
@@ -211,10 +212,21 @@ void MeanFieldSim::CloseWindow() {
     mmc.arrival_rate = std::max(lambda, 1e-12);
     mmc.service_rate = mu_eff;
     mmc.servers = total_instances_;
-    if (options_.service_model == ServiceModel::kExponential) {
+    const bool exponential =
+        options_.service_model == ServiceModel::kExponential;
+    if (mmc.arrival_rate != mmc_memo_.arrival_rate) {
       const analytic::MmcMetrics metrics = analytic::AnalyzeMmc(mmc);
+      mmc_memo_.p95_s =
+          exponential ? analytic::MmcSojournQuantile(mmc, metrics, 0.95)
+                      : analytic::MmcWaitQuantile(mmc, metrics, 0.95);
+      mmc_memo_.metrics = metrics;
+      mmc_memo_.arrival_rate = mmc.arrival_rate;
+      ++mmc_evaluations_;
+    }
+    const analytic::MmcMetrics& metrics = mmc_memo_.metrics;
+    if (exponential) {
       record.mean_ms = SecondsToMs(metrics.mean_sojourn_s);
-      record.p95_ms = SecondsToMs(analytic::MmcSojournQuantile(mmc, 0.95));
+      record.p95_ms = SecondsToMs(mmc_memo_.p95_s);
     } else {
       // Near-deterministic service (opt/surrogate.h recipe): service p95
       // with truncated-Gaussian jitter headroom plus the M/M/c wait
@@ -222,12 +234,10 @@ void MeanFieldSim::CloseWindow() {
       const double sigma = options_.service_jitter_sigma;
       const double jitter_headroom = 1.0 + 1.64 * sigma;
       const double wait_scale = 0.5 * (1.0 + sigma * sigma);
-      const analytic::MmcMetrics metrics = analytic::AnalyzeMmc(mmc);
       record.mean_ms =
           mean_service_ms + SecondsToMs(metrics.mean_wait_s * wait_scale);
-      record.p95_ms =
-          p95_service_ms * jitter_headroom +
-          SecondsToMs(analytic::MmcWaitQuantile(mmc, 0.95) * wait_scale);
+      record.p95_ms = p95_service_ms * jitter_headroom +
+                      SecondsToMs(mmc_memo_.p95_s * wait_scale);
     }
   }
   // The fluid tier has no per-request samples, so the window max is the

@@ -36,6 +36,13 @@
 // window is overloaded. tests/meanfield_test.cc bounds the error against
 // the discrete-event tier over the differential (c, rho) grid.
 //
+// The M/M/c terms depend on the window's mean offered rate alone (mu, c
+// and the jitter sigma are fixed for the simulator's life), so a one-entry
+// memo keyed on that exact rate reuses them: a fleet region the router
+// holds at one rate — every region under the static and least-loaded
+// splits — evaluates Erlang C once, not once per window. A miss runs it
+// once, the metrics feeding the quantile.
+//
 // What this tier does NOT model: per-request jitter (latency quantiles are
 // analytic, not sampled — max_ms is reported as p95), reconfiguration
 // drains, faults and bursts (construction rejects them). Consumers that
@@ -50,6 +57,7 @@
 #include "common/quantile.h"
 #include "models/zoo.h"
 #include "serving/deployment.h"
+#include "sim/analytic.h"
 #include "sim/cluster_sim.h"
 #include "sim/metrics.h"
 
@@ -101,6 +109,9 @@ class MeanFieldSim {
   // Fluid window updates processed (the "sim_events" analogue for
   // throughput accounting; one per closed window).
   std::uint64_t steps() const { return steps_; }
+  // Windows whose M/M/c terms were evaluated rather than reused (memo
+  // misses; see the header comment).
+  std::uint64_t mmc_evaluations() const { return mmc_evaluations_; }
 
   // ClusterSim-shaped taps so report fills and the fleet aggregation treat
   // both tiers uniformly. Counters are floors of the cumulative masses.
@@ -158,6 +169,15 @@ class MeanFieldSim {
   double total_busy_s_ = 0.0;
   double total_energy_j_ = 0.0;
   double total_carbon_g_ = 0.0;
+
+  // The last evaluated M/M/c terms, keyed on the exact arrival rate.
+  struct MmcMemo {
+    double arrival_rate = -1.0;  // none yet (real rates are > 0)
+    analytic::MmcMetrics metrics;
+    double p95_s = 0.0;  // sojourn (exponential) or wait (jittered) p95
+  };
+  MmcMemo mmc_memo_;
+  std::uint64_t mmc_evaluations_ = 0;
 
   std::uint64_t steps_ = 0;
   std::vector<WindowRecord> windows_;

@@ -140,6 +140,26 @@ TEST(WaitQuantileTest, InvertsTheWaitDistribution) {
   }
 }
 
+// The overloads that take the caller's AnalyzeMmc metrics give the same
+// bits as the ones that evaluate them.
+TEST(WaitQuantileTest, MetricsOverloadsMatch) {
+  for (const int servers : {1, 4, 10}) {
+    for (const double rho : {0.2, 0.75, 0.97}) {
+      MmcConfig config;
+      config.servers = servers;
+      config.service_rate = 12.5;
+      config.arrival_rate = rho * servers * config.service_rate;
+      const MmcMetrics metrics = AnalyzeMmc(config);
+      for (const double q : {0.5, 0.95, 0.999}) {
+        EXPECT_EQ(MmcWaitQuantile(config, metrics, q),
+                  MmcWaitQuantile(config, q));
+        EXPECT_EQ(MmcSojournQuantile(config, metrics, q),
+                  MmcSojournQuantile(config, q));
+      }
+    }
+  }
+}
+
 TEST(SojournQuantileTest, ExactForMm1) {
   // M/M/1 sojourn time is Exp(mu - lambda): the quantile has a closed form
   // the bisection must reproduce to solver precision.

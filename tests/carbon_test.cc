@@ -2,9 +2,12 @@
 // re-optimization monitor, and the carbon accountant.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "carbon/accountant.h"
@@ -340,6 +343,42 @@ TEST(RegionPresets, TwelveHourPhaseShiftAntiCorrelatesDiurnalCycle) {
             hour_mean(west, 0.0, 3.0));
 }
 
+// The batched generator shares one diurnal shape per (profile, phase,
+// amplitude) and must still give every region exactly the trace the
+// per-region generator gives it: same name and spacing, same bits. The
+// tiling mirrors a fleet campaign's replica naming ("<preset>.<k>"), with
+// every tenth replica rescaled so that the shapes are not all shared.
+TEST(RegionPresets, BatchedTracesEqualPerRegionGenerator) {
+  std::vector<RegionPreset> presets;
+  for (int k = 0; k < 50; ++k) {
+    for (RegionPreset preset : NamedRegionPresets()) {
+      preset.name.append(".").append(std::to_string(k));
+      if (k % 10 == 9) preset.amplitude_scale = 0.5;
+      presets.push_back(preset);
+    }
+  }
+  TraceGeneratorOptions options;
+  options.duration_hours = 48.0;
+  options.seed = 42;
+  const std::vector<CarbonTrace> batched =
+      GenerateRegionTraces(presets, options);
+  ASSERT_EQ(batched.size(), presets.size());
+  for (std::size_t i = 0; i < presets.size(); ++i) {
+    SCOPED_TRACE(presets[i].name);
+    const CarbonTrace single = GenerateRegionTrace(presets[i], options);
+    EXPECT_EQ(batched[i].name(), single.name());
+    EXPECT_EQ(batched[i].sample_interval_s(), single.sample_interval_s());
+    ASSERT_EQ(batched[i].values().size(), single.values().size());
+    for (std::size_t s = 0; s < single.values().size(); ++s)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batched[i].values()[s]),
+                std::bit_cast<std::uint64_t>(single.values()[s]))
+          << "sample " << s;
+  }
+  // Replicas share a shape but not their weather.
+  EXPECT_NE(batched[0].values(), batched[4].values());
+  EXPECT_TRUE(GenerateRegionTraces({}, options).empty());
+}
+
 TEST(Monitor, TriggersBeforeFirstAcknowledgement) {
   CarbonTrace trace("t", 300.0, {100.0, 100.0});
   CarbonMonitor monitor(&trace, 0.05);
@@ -358,21 +397,20 @@ TEST(Monitor, FivePercentRelativeTrigger) {
 }
 
 TEST(Accountant, CarbonEqualsEnergyTimesIntensityTimesPue) {
-  CarbonTrace trace("t", 3600.0, {200.0, 400.0});
-  CarbonAccountant accountant(&trace, 1.5);
-  // 1 kWh in the first hour at 200 g/kWh and PUE 1.5 -> 300 g.
-  const double g1 = accountant.AccountWindow(0.0, KwhToJoules(1.0));
+  CarbonAccountant accountant(1.5);
+  // 1 kWh at 200 g/kWh and PUE 1.5 -> 300 g.
+  const double g1 = accountant.AccountEnergy(200.0, KwhToJoules(1.0));
   EXPECT_NEAR(g1, 300.0, 1e-9);
-  // Same energy in the second hour at double intensity -> double carbon.
-  const double g2 = accountant.AccountWindow(3600.0, KwhToJoules(1.0));
+  // Same energy at double intensity -> double carbon.
+  const double g2 = accountant.AccountEnergy(400.0, KwhToJoules(1.0));
   EXPECT_NEAR(g2, 600.0, 1e-9);
   EXPECT_NEAR(accountant.total_grams(), 900.0, 1e-9);
   EXPECT_NEAR(accountant.total_it_joules(), KwhToJoules(2.0), 1e-6);
+  EXPECT_THROW(accountant.AccountEnergy(200.0, -1.0), CheckError);
 }
 
 TEST(Accountant, RequiresSanePue) {
-  CarbonTrace trace("t", 3600.0, {200.0});
-  EXPECT_THROW(CarbonAccountant(&trace, 0.9), CheckError);
+  EXPECT_THROW(CarbonAccountant(0.9), CheckError);
 }
 
 }  // namespace

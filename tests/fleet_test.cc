@@ -9,9 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "carbon/trace_generator.h"
@@ -30,11 +35,9 @@
 namespace clover::fleet {
 namespace {
 
-RegionSnapshot MakeSnapshot(const std::string& name, double ci,
-                            double capacity_qps, double latency_penalty_ms,
-                            bool online = true) {
+RegionSnapshot MakeSnapshot(double ci, double capacity_qps,
+                            double latency_penalty_ms, bool online = true) {
   RegionSnapshot snapshot;
-  snapshot.name = name;
   snapshot.online = online;
   snapshot.ci = ci;
   snapshot.capacity_qps = capacity_qps;
@@ -56,15 +59,15 @@ void ExpectConserved(const std::vector<double>& weights) {
 TEST(Router, ConservationAcrossPoliciesAndStates) {
   const RouterOptions options{1.25, 120.0};
   std::vector<std::vector<RegionSnapshot>> cases;
-  cases.push_back({MakeSnapshot("a", 100, 300, 5),
-                   MakeSnapshot("b", 250, 300, 30)});
-  cases.push_back({MakeSnapshot("a", 100, 300, 5, /*online=*/false),
-                   MakeSnapshot("b", 250, 300, 30),
-                   MakeSnapshot("c", 180, 150, 45)});
-  cases.push_back({MakeSnapshot("a", 100, 50, 5),   // fleet overloaded
-                   MakeSnapshot("b", 250, 60, 30)});
-  cases.push_back({MakeSnapshot("a", 100, 300, 500),  // none meet budget
-                   MakeSnapshot("b", 250, 300, 600)});
+  cases.push_back({MakeSnapshot(100, 300, 5),
+                   MakeSnapshot(250, 300, 30)});
+  cases.push_back({MakeSnapshot(100, 300, 5, /*online=*/false),
+                   MakeSnapshot(250, 300, 30),
+                   MakeSnapshot(180, 150, 45)});
+  cases.push_back({MakeSnapshot(100, 50, 5),   // fleet overloaded
+                   MakeSnapshot(250, 60, 30)});
+  cases.push_back({MakeSnapshot(100, 300, 500),  // none meet budget
+                   MakeSnapshot(250, 300, 600)});
   for (RouterPolicy policy :
        {RouterPolicy::kStatic, RouterPolicy::kLeastLoaded,
         RouterPolicy::kCarbonGreedy}) {
@@ -89,8 +92,8 @@ TEST(Router, ConservationAcrossPoliciesAndStates) {
 TEST(Router, SplitsAreDeterministic) {
   const RouterOptions options{1.25, 120.0};
   const std::vector<RegionSnapshot> snapshots = {
-      MakeSnapshot("a", 210, 280, 5), MakeSnapshot("b", 210, 280, 30),
-      MakeSnapshot("c", 95, 140, 45)};
+      MakeSnapshot(210, 280, 5), MakeSnapshot(210, 280, 30),
+      MakeSnapshot(95, 140, 45)};
   for (RouterPolicy policy :
        {RouterPolicy::kStatic, RouterPolicy::kLeastLoaded,
         RouterPolicy::kCarbonGreedy}) {
@@ -106,7 +109,7 @@ TEST(Router, SplitsAreDeterministic) {
 TEST(Router, CarbonGreedyRespectsCapacityMargin) {
   const RouterOptions options{1.25, 0.0};
   const std::vector<RegionSnapshot> snapshots = {
-      MakeSnapshot("clean", 80, 200, 5), MakeSnapshot("dirty", 300, 200, 5)};
+      MakeSnapshot(80, 200, 5), MakeSnapshot(300, 200, 5)};
   const auto router = MakeRouter(RouterPolicy::kCarbonGreedy);
 
   const double total = 250.0;
@@ -131,8 +134,8 @@ TEST(Router, CarbonGreedyRespectsCapacityMargin) {
 TEST(Router, CarbonGreedyHonorsLatencyBudget) {
   RouterOptions options{1.25, 100.0};
   const std::vector<RegionSnapshot> snapshots = {
-      MakeSnapshot("clean-far", 60, 300, 450),
-      MakeSnapshot("dirty-near", 280, 300, 10)};
+      MakeSnapshot(60, 300, 450),
+      MakeSnapshot(280, 300, 10)};
   const auto router = MakeRouter(RouterPolicy::kCarbonGreedy);
   const std::vector<double> weights =
       router->Split(snapshots, 200.0, options);
@@ -151,7 +154,7 @@ TEST(Router, CarbonGreedyHonorsLatencyBudget) {
 TEST(Router, LeastLoadedBalancesByCapacityAndBacklog) {
   const RouterOptions options{1.25, 0.0};
   std::vector<RegionSnapshot> snapshots = {
-      MakeSnapshot("big", 200, 300, 5), MakeSnapshot("small", 100, 100, 5)};
+      MakeSnapshot(200, 300, 5), MakeSnapshot(100, 100, 5)};
   const auto router = MakeRouter(RouterPolicy::kLeastLoaded);
   const std::vector<double> weights =
       router->Split(snapshots, 200.0, options);
@@ -170,8 +173,8 @@ TEST(Router, LeastLoadedBalancesByCapacityAndBacklog) {
 TEST(Router, StaticUsesPriorsAndRoutesAroundOutages) {
   const RouterOptions options{1.25, 0.0};
   std::vector<RegionSnapshot> snapshots = {
-      MakeSnapshot("a", 100, 300, 5), MakeSnapshot("b", 300, 300, 30),
-      MakeSnapshot("c", 200, 300, 45)};
+      MakeSnapshot(100, 300, 5), MakeSnapshot(300, 300, 30),
+      MakeSnapshot(200, 300, 45)};
   snapshots[0].static_weight = 2.0;
   snapshots[1].static_weight = 1.0;
   snapshots[2].static_weight = 1.0;
@@ -189,6 +192,177 @@ TEST(Router, StaticUsesPriorsAndRoutesAroundOutages) {
   EXPECT_DOUBLE_EQ(rerouted[0], 0.0);
   EXPECT_NEAR(rerouted[1], 0.5, 1e-12);
   EXPECT_NEAR(rerouted[2], 0.5, 1e-12);
+}
+
+void ExpectSameBits(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "index " << i << ": " << a[i] << " vs " << b[i];
+}
+
+// The carbon-greedy split restated with its former fill order — an index
+// sort whose comparator reads each snapshot through regions[index] — for
+// snapshots that are all online and inside the latency budget.
+std::vector<double> IndexSortGreedySplit(
+    const std::vector<RegionSnapshot>& regions, double total_qps,
+    const RouterOptions& options) {
+  std::vector<std::size_t> order(regions.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (regions[a].ci != regions[b].ci) return regions[a].ci < regions[b].ci;
+    if (regions[a].latency_penalty_ms != regions[b].latency_penalty_ms)
+      return regions[a].latency_penalty_ms < regions[b].latency_penalty_ms;
+    return a < b;
+  });
+  std::vector<double> alloc(regions.size(), 0.0);
+  double remaining = total_qps;
+  for (std::size_t i : order) {
+    const double headroom = std::max(
+        0.0, 1.0 - regions[i].latency_penalty_ms / options.slo_budget_ms);
+    const double take = std::min(
+        remaining,
+        regions[i].capacity_qps / std::max(1.0, options.capacity_margin) *
+            headroom);
+    alloc[i] = take;
+    remaining -= take;
+    if (remaining <= 0.0) break;
+  }
+  if (remaining > 0.0) {
+    double cap_sum = 0.0;
+    for (const RegionSnapshot& region : regions) cap_sum += region.capacity_qps;
+    for (std::size_t i = 0; i < regions.size(); ++i)
+      alloc[i] += remaining * regions[i].capacity_qps / cap_sum;
+  }
+  // Exact normalization: the residual goes to the largest weight.
+  double total = 0.0;
+  for (double a : alloc) total += a;
+  std::size_t largest = 0;
+  for (std::size_t i = 0; i < alloc.size(); ++i) {
+    alloc[i] /= total;
+    if (alloc[i] > alloc[largest]) largest = i;
+  }
+  double sum_except = 0.0;
+  for (std::size_t i = 0; i < alloc.size(); ++i)
+    if (i != largest) sum_except += alloc[i];
+  alloc[largest] = 1.0 - sum_except;
+  return alloc;
+}
+
+// Carbon-greedy sorts contiguous (ci, penalty, index) keys; over shuffled
+// snapshots with many tied intensities and penalties its split must equal
+// the index-sort fill bit for bit, from a light load to an overload that
+// spills past every region's margin.
+TEST(Router, CarbonGreedyKeySortMatchesIndexSort) {
+  const RouterOptions options{1.45, 120.0};
+  const auto router = MakeRouter(RouterPolicy::kCarbonGreedy);
+  std::mt19937_64 rng(20261019);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    std::vector<RegionSnapshot> snapshots;
+    for (int i = 0; i < 64; ++i) {
+      const double ci = 120.0 + 60.0 * static_cast<double>(rng() % 3);
+      const double penalty = rng() % 2 == 0 ? 5.0 : 20.0;
+      const double capacity = 100.0 + 50.0 * static_cast<double>(rng() % 4);
+      snapshots.push_back(MakeSnapshot(ci, capacity, penalty));
+    }
+    std::shuffle(snapshots.begin(), snapshots.end(), rng);
+    double safe_total = 0.0;
+    for (const RegionSnapshot& snapshot : snapshots)
+      safe_total += snapshot.capacity_qps / options.capacity_margin;
+    for (const double load : {0.05, 0.4, 0.9, 1.3}) {
+      SCOPED_TRACE(load);
+      const double total_qps = load * safe_total;
+      ExpectSameBits(router->Split(snapshots, total_qps, options),
+                     IndexSortGreedySplit(snapshots, total_qps, options));
+    }
+  }
+}
+
+// The fleet p95 as the point-mass walk found it before weighted selection:
+// the masses sorted slowest first, the value at which the running count
+// first exceeds 5% of the window's completions.
+double SortWalkP95(std::vector<std::pair<double, std::uint64_t>> masses,
+                   std::uint64_t completions) {
+  std::sort(masses.begin(), masses.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::uint64_t mass_above = 0;
+  for (const auto& [value, count] : masses) {
+    mass_above += count;
+    if (static_cast<double>(mass_above) >
+        0.05 * static_cast<double>(completions))
+      return value;
+  }
+  return 0.0;
+}
+
+// Folds one window per region — region i closed `completions[i]` requests
+// at p95 `p95_ms[i]` behind `penalty_ms[i]` of network latency — and checks
+// the fleet window's p95 against the sort walk over the same masses.
+void ExpectFoldP95MatchesSortWalk(const std::vector<double>& p95_ms,
+                                  const std::vector<std::uint64_t>& completions,
+                                  const std::vector<double>& penalty_ms) {
+  opt::ObjectiveParams params;
+  params.a_base = 80.0;
+  params.c_base_g = 1.0;
+  params.l_tail_ms = 100.0;
+  WindowFold fold(p95_ms.size(), params, /*fallback_energy_per_request_j=*/
+                  1.0, /*slo_budget_ms=*/100.0);
+  std::vector<std::pair<double, std::uint64_t>> masses;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < p95_ms.size(); ++i) {
+    sim::WindowRecord window;
+    window.duration_s = 300.0;
+    window.arrivals = window.completions = completions[i];
+    window.p95_ms = p95_ms[i];
+    window.mean_ms = 0.5 * p95_ms[i];
+    window.max_ms = 2.0 * p95_ms[i];
+    window.energy_j = 1e4;
+    window.ci = 200.0;
+    fold.Push(i, window, penalty_ms[i]);
+    if (completions[i] > 0)
+      masses.emplace_back(p95_ms[i] + penalty_ms[i], completions[i]);
+    total += completions[i];
+  }
+  fold.FoldReady();
+  ASSERT_EQ(fold.windows().size(), 1u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fold.windows()[0].p95_ms),
+            std::bit_cast<std::uint64_t>(SortWalkP95(masses, total)))
+      << fold.windows()[0].p95_ms << " vs " << SortWalkP95(masses, total);
+}
+
+// The fold finds the p95 point mass by weighted selection; it must return
+// the same element value as the sort walk — ties, a dominant region, a
+// lone region and exact 5% boundaries included.
+TEST(FleetReporting, FoldP95SelectionMatchesSortWalk) {
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t regions = 1 + rng() % 2000;
+    std::vector<double> p95(regions), penalty(regions);
+    std::vector<std::uint64_t> completions(regions);
+    for (std::size_t i = 0; i < regions; ++i) {
+      // Few distinct values, so many masses tie.
+      p95[i] = 10.0 + 2.5 * static_cast<double>(rng() % 4);
+      penalty[i] = 5.0 * static_cast<double>(rng() % 3);
+      completions[i] = rng() % 5 == 0 ? 0 : 1 + rng() % 1000;
+    }
+    completions[rng() % regions] += 1;  // at least one region served
+    ExpectFoldP95MatchesSortWalk(p95, completions, penalty);
+    // One region dominates the mass: the tail is its value, wherever it
+    // sits among the others.
+    completions[rng() % regions] = 1000000;
+    ExpectFoldP95MatchesSortWalk(p95, completions, penalty);
+  }
+  ExpectFoldP95MatchesSortWalk({42.0}, {17}, {5.0});  // one region only
+  // The top mass is exactly 5% of 100 completions, which is not more than
+  // 5%: the tail is the next value down, whichever mass is the pivot.
+  ExpectFoldP95MatchesSortWalk({100.0, 50.0}, {5, 95}, {0.0, 0.0});
+  ExpectFoldP95MatchesSortWalk({50.0, 100.0}, {95, 5}, {0.0, 0.0});
+  ExpectFoldP95MatchesSortWalk({100.0, 50.0, 100.0}, {3, 95, 3},
+                               {0.0, 0.0, 0.0});
 }
 
 TEST(Region, SeedsAreDistinctAndStable) {
@@ -287,25 +461,6 @@ TEST(FleetRouting, AntiCorrelatedCarbonGreedyBeatsStaticAtEqualSlo) {
             static_split.fleet.weighted_accuracy - 1.0);
 }
 
-// Sharing one evaluation-cache store across regions serializes the region
-// step but must keep runs reproducible, and the regional controllers must
-// actually pool their evaluations.
-TEST(FleetSharedCache, DeterministicWithCrossRegionReuse) {
-  const models::ModelZoo& zoo = models::DefaultZoo();
-  FleetConfig config = SmallCloverFleet(4);
-  config.share_eval_cache = true;
-  const FleetReport a = RunFleet(config, zoo);
-  const FleetReport b = RunFleet(config, zoo);
-  EXPECT_TRUE(FleetReportsBitIdentical(a, b));
-  EXPECT_GT(a.fleet.completions, 0u);
-  // Both regions report cache state from the one shared store.
-  ASSERT_TRUE(a.regions[0].controller.has_value());
-  ASSERT_TRUE(a.regions[1].controller.has_value());
-  EXPECT_EQ(a.regions[0].controller->cache_size,
-            a.regions[1].controller->cache_size);
-  EXPECT_GT(a.regions[0].controller->cache_size, 0u);
-}
-
 // Controller snapshots surface per-region state without friend access.
 TEST(FleetReporting, ControllerSnapshotsDescribeRegions) {
   const models::ModelZoo& zoo = models::DefaultZoo();
@@ -387,7 +542,6 @@ HandOff StepFleetByHand(const FleetConfig& config) {
     options.router.slo_budget_ms =
         config.slo_budget_factor * params.l_tail_ms;
   options.threads = config.threads;
-  options.share_eval_cache = config.share_eval_cache;
   options.seed = config.seed;
   FleetController controller(&regions, &zoo, router.get(), params,
                              total_qps, options);

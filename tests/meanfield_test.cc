@@ -42,10 +42,12 @@
 #include "fleet/fleet_sim.h"
 #include "fleet/meanfield_fleet.h"
 #include "graph/config_graph.h"
+#include "mig/slice_type.h"
 #include "models/zoo.h"
 #include "opt/surrogate.h"
 #include "perf/perf_model.h"
 #include "serving/deployment.h"
+#include "sim/analytic.h"
 #include "sim/cluster_sim.h"
 #include "sim/meanfield.h"
 #include "testing/proptest.h"
@@ -189,6 +191,62 @@ TEST(MeanFieldSimTest, OverloadAccumulatesFiniteBacklogTail) {
   // Later windows carry more backlog, so the quoted drain tail grows —
   // overloaded configurations are ranked by how badly they fail.
   EXPECT_GT(fluid.windows().back().p95_ms, fluid.windows().front().p95_ms);
+}
+
+// The window's M/M/c terms are memoized on the exact offered rate. Under
+// the rate schedule r1, r1, r2, r1 the second window reuses the first's
+// terms and the last two evaluate afresh; every window's mean and p95 equal
+// a direct evaluation of the jittered-service recipe at that window's rate.
+TEST(MeanFieldSimTest, QueueingMemoMatchesDirectEvaluation) {
+  const models::ModelZoo& zoo = models::DefaultZoo();
+  const models::ModelFamily& family =
+      zoo.ForApplication(models::Application::kClassification);
+  const int servers = 2;  // BASE: one largest-variant instance per GPU
+  const serving::Deployment base =
+      serving::MakeBase(models::Application::kClassification, servers);
+  const double service_ms =
+      perf::PerfModel::LatencyMs(family, family.Largest(), mig::SliceType::k7g);
+  const double mu = ServiceRatePerServer();
+  const double window_s = 300.0;
+  SimOptions options;  // jittered service, as in fleet regions
+  options.window_seconds = window_s;
+  const double r1 = 0.5 * servers * mu;
+  const double r2 = 0.8 * servers * mu;
+  const std::vector<double> rates = {r1, r1, r2, r1};
+  const std::vector<std::uint64_t> evaluations = {1, 1, 2, 3};
+
+  options.arrival_rate_qps = r1;
+  MeanFieldSim fluid(base, zoo, &FlatTrace(), options);
+  for (std::size_t w = 0; w < rates.size(); ++w) {
+    fluid.SetArrivalRate(rates[w]);
+    fluid.AdvanceTo(window_s * static_cast<double>(w + 1));
+    EXPECT_EQ(fluid.mmc_evaluations(), evaluations[w]) << "window " << w;
+  }
+  ASSERT_EQ(fluid.windows().size(), rates.size());
+
+  const double sigma = options.service_jitter_sigma;
+  const double wait_scale = 0.5 * (1.0 + sigma * sigma);
+  analytic::MmcConfig mmc;
+  mmc.servers = servers;
+  mmc.service_rate = static_cast<double>(servers) / MsToSeconds(service_ms) /
+                     static_cast<double>(servers);
+  for (std::size_t w = 0; w < rates.size(); ++w) {
+    SCOPED_TRACE(w);
+    // Below capacity the window serves what arrived, all on one class.
+    const double served = rates[w] * window_s;
+    mmc.arrival_rate = served / window_s;
+    const analytic::MmcMetrics metrics = analytic::AnalyzeMmc(mmc);
+    const WindowRecord& window = fluid.windows()[w];
+    EXPECT_EQ(window.mean_ms,
+              served * service_ms / served +
+                  SecondsToMs(metrics.mean_wait_s * wait_scale));
+    EXPECT_EQ(window.p95_ms,
+              service_ms * (1.0 + 1.64 * sigma) +
+                  SecondsToMs(analytic::MmcWaitQuantile(mmc, 0.95) *
+                              wait_scale));
+  }
+  EXPECT_EQ(fluid.windows()[3].mean_ms, fluid.windows()[0].mean_ms);
+  EXPECT_NE(fluid.windows()[2].p95_ms, fluid.windows()[0].p95_ms);
 }
 
 // Under a stable load the fluid tier and the surrogate quote the same

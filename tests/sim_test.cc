@@ -146,7 +146,9 @@ TEST(ClusterSim, DeterministicForFixedSeed) {
 TEST(ClusterSim, WindowEnergyMatchesMeterIdentity) {
   // An idle cluster (no arrivals possible? rate must be >0; use tiny rate)
   // draws static power only, so each 300 s window is ~static * gpus * 300 J.
-  const auto trace = FlatTrace(100.0);
+  // The intensity changes every 450 s, so windows straddle a change.
+  const carbon::CarbonTrace trace("steps", 450.0,
+                                  {100.0, 250.0, 175.0, 400.0, 90.0});
   serving::Deployment base = serving::MakeBase(Application::kLanguage, 3);
   ClusterSim sim(base, DefaultZoo(), &trace, Options(1e-3));
   sim.AdvanceTo(1500.0);
@@ -155,7 +157,9 @@ TEST(ClusterSim, WindowEnergyMatchesMeterIdentity) {
   for (const WindowRecord& window : sim.windows()) {
     EXPECT_NEAR(window.energy_j, static_w * 300.0,
                 0.2 * static_w * 300.0);  // tiny dynamic residue allowed
-    // Carbon = energy * ci * pue identity.
+    // The window's intensity is the trace sampled at the window's start,
+    // and carbon = energy * ci * pue.
+    EXPECT_EQ(window.ci, trace.At(window.start_s));
     EXPECT_NEAR(window.carbon_g,
                 CarbonGrams(window.energy_j, window.ci, perf::kPue), 1e-9);
   }
