@@ -17,16 +17,14 @@
 //                    --threads; reports fleet events/sec and enforces the
 //                    fleet determinism contract (--threads vs 1 thread
 //                    must be bit-identical) via exit status
-//   opt_screened     screen-then-simulate random search: the analytic
-//                    surrogate (opt/surrogate.h) ranks a 16x oversampled
-//                    pool, only the top slice is simulated; candidates
-//                    counts considered configurations (simulated +
-//                    screened) and the notes give the throughput ratio
-//                    against the unscreened rate
-//   opt_random       random search over ReplayEvaluator batches, 1 thread
-//                    vs --threads; reports candidates/sec, speedup, and
-//                    whether the two runs were bit-identical
-//   opt_annealing    same comparison for the graph-space annealer
+//   opt_screened     screen-then-simulate random search on the replay
+//                    evaluator: each round the analytic surrogate
+//                    (opt/surrogate.h) ranks 16 sampled candidates and only
+//                    the top one is simulated; candidates counts considered
+//                    configurations (simulated + screened), the notes give
+//                    the throughput ratio against the same search
+//                    unscreened, and a same-seed twin run must be
+//                    bit-identical
 //   e2e_step         full trace -> controller -> simulator pipeline on the
 //                    step trace (BASE + CLOVER), executed through the
 //                    campaign engine (exp/runner.h) — the same code path
@@ -69,19 +67,17 @@
 // gate writes a triage/<bench-scenario>/ bundle (obs/triage.h) before
 // exiting nonzero.
 //
-// Exit status is nonzero when any parallel run failed the bit-identity
-// check, so CI catches determinism regressions without a threshold.
+// Exit status is nonzero when any twin run failed the bit-identity check,
+// so CI catches determinism regressions without a threshold.
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 #include "common/units.h"
 #include "core/harness.h"
 #include "core/live_service.h"
@@ -90,7 +86,6 @@
 #include "exp/runner.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/meanfield_fleet.h"
-#include "graph/neighbors.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -165,8 +160,6 @@ struct SuiteScale {
   int gpus = 4;
   double sim_seconds = 900.0;       // sim_hot_path span
   int candidates = 64;              // optimizer evaluations per search
-  int random_batch = 16;            // random-search round size
-  int anneal_batch = 8;             // annealer speculative round size
   double e2e_hours = 2.0;           // e2e_step span
   int fleet_gpus = 2;               // per fleet region
   double fleet_hours = 2.0;         // fleet_routing span
@@ -291,166 +284,77 @@ exp::ScenarioTiming RunFleetLanes(const RunnerFlags& flags,
 }
 
 // ---------------------------------------------------------------------------
-// opt_random / opt_annealing: parallel candidate evaluation.
+// opt_screened: screen-then-simulate search on the replay evaluator.
 // ---------------------------------------------------------------------------
-
-// Shared context for the optimizer scenarios: a BASE-calibrated objective
-// and replica options for the pure replay evaluator.
-struct OptContext {
-  const models::ModelZoo* zoo = nullptr;
-  const carbon::CarbonTrace* trace = nullptr;
-  int gpus = 0;
-  opt::ReplayEvaluator::Options replay;
-  opt::ObjectiveParams params;
-  double ci = 250.0;
-  graph::ConfigGraph start;
-
-  OptContext() : start(models::Application::kClassification, 1) {}
-};
-
-OptContext MakeOptContext(const RunnerFlags& flags, const SuiteScale& scale,
-                          const carbon::CarbonTrace& trace) {
-  OptContext context;
-  context.zoo = &models::DefaultZoo();
-  context.trace = &trace;
-  context.gpus = scale.gpus;
-  const models::Application app = models::Application::kClassification;
-
-  context.replay.arrival_rate_qps =
-      sim::SizeArrivalRate(*context.zoo, app, scale.gpus);
-  context.replay.settle_s = 2.0;
-  context.replay.measure_window_s = 10.0;
-  context.replay.seed = flags.seed;
-
-  const serving::Deployment base = serving::MakeBase(app, scale.gpus);
-  context.start = graph::ConfigGraph::FromDeployment(base, *context.zoo);
-  context.replay = opt::ReplayEvaluator::CalibrateAgainst(
-      context.zoo, context.trace, scale.gpus, context.start, context.replay,
-      context.ci, &context.params);
-  return context;
-}
-
-std::vector<std::unique_ptr<opt::Evaluator>> MakeReplicas(
-    const OptContext& context, int count) {
-  std::vector<std::unique_ptr<opt::Evaluator>> replicas;
-  replicas.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i)
-    replicas.push_back(std::make_unique<opt::ReplayEvaluator>(
-        context.zoo, context.trace, context.gpus, context.replay));
-  return replicas;
-}
-
-struct SearchRun {
-  opt::SearchResult result;
-  double wall_seconds = 0.0;
-};
-
-SearchRun RunRandomOnce(const OptContext& context, const RunnerFlags& flags,
-                        const SuiteScale& scale, int threads) {
-  ThreadPool pool(threads);
-  opt::ParallelBatchEvaluator batch(&pool, MakeReplicas(context, threads));
-  // The serial-fallback evaluator is unused once a batch executor is set,
-  // but the constructor requires one.
-  opt::ReplayEvaluator fallback(context.zoo, context.trace, context.gpus,
-                                context.replay);
-  graph::GraphMapper mapper(context.zoo, context.gpus);
-  opt::RandomSearch::Options options;
-  options.max_evaluations = scale.candidates;
-  options.no_improve_limit = 1 << 30;  // run the full candidate budget
-  options.time_budget_s = 1e12;
-  options.batch_size = scale.random_batch;
-  opt::RandomSearch search(&fallback, &mapper, options, flags.seed);
-  search.SetBatchEvaluator(&batch);
-
-  SearchRun run;
-  WallTimer timer;
-  run.result = search.Run(context.start, context.params, context.ci);
-  run.wall_seconds = timer.Seconds();
-  return run;
-}
-
-SearchRun RunAnnealOnce(const OptContext& context, const RunnerFlags& flags,
-                        const SuiteScale& scale, int threads) {
-  ThreadPool pool(threads);
-  opt::ParallelBatchEvaluator batch(&pool, MakeReplicas(context, threads));
-  opt::ReplayEvaluator fallback(context.zoo, context.trace, context.gpus,
-                                context.replay);
-  graph::GraphMapper mapper(context.zoo, context.gpus);
-  graph::NeighborSampler sampler(&mapper, flags.seed);
-  opt::SimulatedAnnealing::Options options;
-  options.max_evaluations = scale.candidates;
-  options.no_improve_limit = 1 << 30;
-  options.time_budget_s = 1e12;
-  options.batch_size = scale.anneal_batch;
-  opt::SimulatedAnnealing annealer(&fallback, &sampler, options, flags.seed);
-  annealer.SetBatchEvaluator(&batch);
-
-  SearchRun run;
-  WallTimer timer;
-  run.result = annealer.Run(context.start, context.params, context.ci);
-  run.wall_seconds = timer.Seconds();
-  return run;
-}
-
-// Random search with the analytic fast tier installed: each round draws
-// screen_factor x batch_size candidates, the surrogate ranks them, and only
-// the top batch-size slice pays for a replay evaluation.
-SearchRun RunScreenedOnce(const OptContext& context, const RunnerFlags& flags,
-                          const SuiteScale& scale, int threads) {
-  ThreadPool pool(threads);
-  opt::ParallelBatchEvaluator batch(&pool, MakeReplicas(context, threads));
-  opt::ReplayEvaluator fallback(context.zoo, context.trace, context.gpus,
-                                context.replay);
-  graph::GraphMapper mapper(context.zoo, context.gpus);
-  opt::SurrogateEvaluator surrogate(
-      context.zoo, context.gpus,
-      opt::SurrogateEvaluator::FromReplay(context.replay,
-                                          sim::ServiceModel::kJittered,
-                                          perf::kServiceJitterSigma));
-  opt::RandomSearch::Options options;
-  options.max_evaluations = scale.candidates;
-  options.no_improve_limit = 1 << 30;
-  options.time_budget_s = 1e12;
-  options.batch_size = scale.random_batch;
-  options.screen_factor = scale.screen_factor;
-  opt::RandomSearch search(&fallback, &mapper, options, flags.seed);
-  search.SetBatchEvaluator(&batch);
-  search.SetSurrogate(&surrogate);
-
-  SearchRun run;
-  WallTimer timer;
-  run.result = search.Run(context.start, context.params, context.ci);
-  run.wall_seconds = timer.Seconds();
-  return run;
-}
 
 // Screen-then-simulate throughput: candidates counts every configuration
 // the search *considered* (simulated + surrogate-screened) — the fidelity
 // tier's whole point is that considering a candidate no longer requires
-// simulating it. The unscreened run with the same thread count anchors the
-// throughput ratio in the notes.
-exp::ScenarioTiming RunOptScreened(const OptContext& context,
-                                   const RunnerFlags& flags,
-                                   const SuiteScale& scale) {
-  const SearchRun baseline = RunRandomOnce(context, flags, scale,
-                                           flags.threads);
-  const SearchRun serial = RunScreenedOnce(context, flags, scale, 1);
-  const SearchRun parallel = RunScreenedOnce(context, flags, scale,
-                                             flags.threads);
+// simulating it. The unscreened search anchors the throughput ratio in
+// the notes.
+exp::ScenarioTiming RunOptScreened(const RunnerFlags& flags,
+                                   const SuiteScale& scale,
+                                   const carbon::CarbonTrace& trace) {
+  // A BASE-calibrated objective and options for the pure replay evaluator.
+  const models::ModelZoo& zoo = models::DefaultZoo();
+  const models::Application app = models::Application::kClassification;
+  const double ci = 250.0;
+  const graph::ConfigGraph start = graph::ConfigGraph::FromDeployment(
+      serving::MakeBase(app, scale.gpus), zoo);
+  opt::ReplayEvaluator::Options replay;
+  replay.arrival_rate_qps = sim::SizeArrivalRate(zoo, app, scale.gpus);
+  replay.settle_s = 2.0;
+  replay.measure_window_s = 10.0;
+  replay.seed = flags.seed;
+  opt::ObjectiveParams params;
+  replay = opt::ReplayEvaluator::CalibrateAgainst(&zoo, &trace, scale.gpus,
+                                                  start, replay, ci, &params);
+
+  // Random search over the full candidate budget with the analytic fast
+  // tier installed: each round samples screen_factor candidates, the
+  // surrogate ranks them, and only the top one pays for a replay
+  // evaluation (screen_factor 1: the plain search).
+  struct SearchRun {
+    opt::SearchResult result;
+    double wall_seconds = 0.0;
+  };
+  auto run_once = [&](int screen_factor) {
+    opt::ReplayEvaluator evaluator(&zoo, &trace, scale.gpus, replay);
+    graph::GraphMapper mapper(&zoo, scale.gpus);
+    opt::SurrogateEvaluator surrogate(
+        &zoo, scale.gpus,
+        opt::SurrogateEvaluator::FromReplay(
+            replay, sim::ServiceModel::kJittered, perf::kServiceJitterSigma));
+    opt::RandomSearch::Options options;
+    options.max_evaluations = scale.candidates;
+    options.no_improve_limit = 1 << 30;  // run the full candidate budget
+    options.time_budget_s = 1e12;
+    options.screen_factor = screen_factor;
+    opt::RandomSearch search(&evaluator, &mapper, options, flags.seed);
+    search.SetSurrogate(&surrogate);
+    SearchRun run;
+    WallTimer timer;
+    run.result = search.Run(start, params, ci);
+    run.wall_seconds = timer.Seconds();
+    return run;
+  };
+  const SearchRun baseline = run_once(1);
+  const SearchRun run = run_once(scale.screen_factor);
+  const SearchRun twin = run_once(scale.screen_factor);
 
   exp::ScenarioTiming timing;
   timing.name = "opt_screened";
-  timing.wall_seconds = parallel.wall_seconds;
-  timing.candidates = parallel.result.evaluations.size() +
-                      static_cast<std::uint64_t>(parallel.result.screened);
+  timing.wall_seconds = run.wall_seconds;
+  timing.candidates = run.result.evaluations.size() +
+                      static_cast<std::uint64_t>(run.result.screened);
   timing.candidates_per_sec =
-      parallel.wall_seconds > 0.0
-          ? static_cast<double>(timing.candidates) / parallel.wall_seconds
+      run.wall_seconds > 0.0
+          ? static_cast<double>(timing.candidates) / run.wall_seconds
           : 0.0;
-  // Screening is serial and the surrogate is pure, so the usual contract
-  // holds: thread count never changes the result.
+  // The shared contract definition (opt/annealing.h): a fixed seed
+  // reproduces the search bit for bit.
   timing.deterministic =
-      opt::SearchResultsBitIdentical(serial.result, parallel.result);
+      opt::SearchResultsBitIdentical(run.result, twin.result);
   const double baseline_rate =
       baseline.wall_seconds > 0.0
           ? static_cast<double>(baseline.result.evaluations.size()) /
@@ -460,43 +364,11 @@ exp::ScenarioTiming RunOptScreened(const OptContext& context,
                            ? timing.candidates_per_sec / baseline_rate
                            : 0.0;
   timing.notes =
-      std::to_string(parallel.result.evaluations.size()) + " simulated + " +
-      std::to_string(parallel.result.screened) + " screened (x" +
+      std::to_string(run.result.evaluations.size()) + " simulated + " +
+      std::to_string(run.result.screened) + " screened (x" +
       std::to_string(scale.screen_factor) + " pool), " +
       TextTable::Num(ratio, 1) + "x the unscreened rate (" +
       TextTable::Num(baseline_rate, 1) + " cand/s)";
-  return timing;
-}
-
-template <typename RunOnce>
-exp::ScenarioTiming CompareSerialParallel(const std::string& name,
-                                          const RunnerFlags& flags,
-                                          RunOnce&& run_once) {
-  const SearchRun serial = run_once(1);
-  const SearchRun parallel = run_once(flags.threads);
-
-  exp::ScenarioTiming timing;
-  timing.name = name;
-  timing.wall_seconds = parallel.wall_seconds;
-  timing.candidates = parallel.result.evaluations.size();
-  timing.candidates_per_sec =
-      parallel.wall_seconds > 0.0
-          ? static_cast<double>(timing.candidates) / parallel.wall_seconds
-          : 0.0;
-  const double serial_rate =
-      serial.wall_seconds > 0.0
-          ? static_cast<double>(serial.result.evaluations.size()) /
-                serial.wall_seconds
-          : 0.0;
-  timing.speedup_vs_serial =
-      serial_rate > 0.0 ? timing.candidates_per_sec / serial_rate : 0.0;
-  // The shared contract definition (opt/annealing.h), the same predicate
-  // the unit tests assert.
-  timing.deterministic =
-      opt::SearchResultsBitIdentical(serial.result, parallel.result);
-  timing.notes = std::to_string(timing.candidates) + " candidates, " +
-                 std::to_string(flags.threads) + " threads vs 1 (" +
-                 TextTable::Num(serial_rate, 1) + " cand/s serial)";
   return timing;
 }
 
@@ -837,16 +709,7 @@ int main(int argc, char** argv) {
   suite.scenarios.push_back(bench::RunSimHotPath(flags, scale, flat));
   suite.scenarios.push_back(bench::RunFleetLanes(flags, scale));
 
-  const bench::OptContext context = bench::MakeOptContext(flags, scale, flat);
-  suite.scenarios.push_back(bench::CompareSerialParallel(
-      "opt_random", flags, [&](int threads) {
-        return bench::RunRandomOnce(context, flags, scale, threads);
-      }));
-  suite.scenarios.push_back(bench::CompareSerialParallel(
-      "opt_annealing", flags, [&](int threads) {
-        return bench::RunAnnealOnce(context, flags, scale, threads);
-      }));
-  suite.scenarios.push_back(bench::RunOptScreened(context, flags, scale));
+  suite.scenarios.push_back(bench::RunOptScreened(flags, scale, flat));
 
   {
     // BASE + CLOVER on the step trace, executed through the campaign
@@ -928,7 +791,7 @@ int main(int argc, char** argv) {
     obs::TriageContext context;
     context.name = "bench-" + scenario.name;
     context.reason = "bench scenario '" + scenario.name +
-                     "' was not bit-identical to its serial twin";
+                     "' was not bit-identical to its twin";
     context.repro_command = "./build/bench/bench_runner --suite " +
                             flags.suite + " --threads " +
                             std::to_string(flags.threads) + " --seed " +
@@ -943,7 +806,7 @@ int main(int argc, char** argv) {
       std::cerr << "bench: triage bundle written to " << bundle << "\n";
   }
   if (!deterministic) {
-    std::cerr << "FAIL: parallel run was not bit-identical to serial\n";
+    std::cerr << "FAIL: a twin run was not bit-identical\n";
     return 1;
   }
   return 0;

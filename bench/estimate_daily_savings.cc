@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "\npaper: 6.77e-3 gCO2/request -> ~170 kg CO2/day ~ 680 "
                "car-km ~ 85 kg coal. Absolute numbers scale with the\n"
-               "calibration constants (see EXPERIMENTS.md); the conversion "
+               "calibration constants (see docs/EXPERIMENTS.md); the conversion "
                "chain is identical.\n";
   return 0;
 }

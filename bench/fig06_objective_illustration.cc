@@ -54,6 +54,6 @@ int main(int argc, char** argv) {
       << "\npaper values: A@500 = 4.4, A@100 = 6.0, B@100 = 7.0 (match);\n"
          "B@500 prints 3.2 in the paper but Eq. 3 gives 0.1*40 + 0.9*(-2) = "
          "2.2 — a figure typo; the preference order (A at ci=500, B at "
-         "ci=100) is unaffected. See EXPERIMENTS.md.\n";
+         "ci=100) is unaffected. See docs/EXPERIMENTS.md.\n";
   return 0;
 }

@@ -72,6 +72,6 @@ int main(int argc, char** argv) {
                "(The paper's accuracy axis is consistent with absolute "
                "metric points — CO2OPT detection sits at -6, exactly the\n"
                "55.0-49.0 mAP gap. Both conventions are printed; see "
-               "EXPERIMENTS.md.)\n";
+               "docs/EXPERIMENTS.md.)\n";
   return 0;
 }

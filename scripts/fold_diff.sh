@@ -7,7 +7,8 @@
 # worktree under .fold_diff/ (removed on exit) and the working tree in
 # .fold_diff/build-head (kept, so reruns build incrementally). Runs each
 # preset — campaigns/<preset>.json from the working tree, default
-# `smoke fig09_toy fleet_routing_toy fleet_1000region_toy` — with both
+# `smoke fig09_toy fig10_toy fleet_routing_toy fleet_1000region_toy` (the
+# fig10 grid is the one default covering ORACLE and BLOVER) — with both
 # binaries at --threads 2 and cmp's the wall-free folds
 # CAMPAIGN_<preset>.json. Prints one Markdown table row per preset
 # (identical, differs, or which side failed) and exits 1 unless every
@@ -24,7 +25,7 @@ REF="$1"
 shift
 PRESETS=("$@")
 if [[ ${#PRESETS[@]} -eq 0 ]]; then
-  PRESETS=(smoke fig09_toy fleet_routing_toy fleet_1000region_toy)
+  PRESETS=(smoke fig09_toy fig10_toy fleet_routing_toy fleet_1000region_toy)
 fi
 
 SHA="$(git rev-parse --verify "$REF^{commit}")"

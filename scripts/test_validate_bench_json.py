@@ -221,52 +221,6 @@ class ValidatorTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("tolerance 25%", err)
 
-    # -- --min-speedup -----------------------------------------------------
-
-    def test_min_speedup_floor_holds(self):
-        path = self.write(
-            "ok.json", doc([scenario("opt_random", speedup_vs_serial=2.5)])
-        )
-        code, _, err = self.run_main(
-            ["--min-speedup", "opt_random=2.0", path]
-        )
-        self.assertEqual(code, 0, err)
-
-    def test_min_speedup_floor_violation_is_hard(self):
-        path = self.write(
-            "low.json", doc([scenario("opt_random", speedup_vs_serial=1.3)])
-        )
-        code, _, err = self.run_main(
-            ["--min-speedup", "opt_random=2.0", path]
-        )
-        self.assertEqual(code, 1)
-        self.assertIn("below the --min-speedup floor", err)
-
-    def test_min_speedup_missing_scenario_is_hard(self):
-        path = self.write("ok.json", doc([scenario("sim_hot_path")]))
-        code, _, err = self.run_main(
-            ["--min-speedup", "opt_random=2.0", path]
-        )
-        self.assertEqual(code, 1)
-        self.assertIn("not in the file", err)
-
-    def test_min_speedup_null_value_is_hard(self):
-        path = self.write(
-            "null.json",
-            doc([scenario("opt_random", speedup_vs_serial=None)]),
-        )
-        code, _, err = self.run_main(
-            ["--min-speedup", "opt_random=2.0", path]
-        )
-        self.assertEqual(code, 1)
-        self.assertIn("no numeric", err)
-
-    def test_bad_min_speedup_syntax_is_usage_error(self):
-        path = self.write("ok.json", doc([scenario("a")]))
-        for bad in ("opt_random", "opt_random=", "=2.0", "opt_random=-1"):
-            code, _, _ = self.run_main(["--min-speedup", bad, path])
-            self.assertEqual(code, 2, bad)
-
 
 if __name__ == "__main__":
     unittest.main()

@@ -5,7 +5,6 @@ gate them against a baseline.
 Usage:
   validate_bench_json.py [--require-scenario NAME]...
                          [--baseline FILE] [--tolerance PCT] [--hard]
-                         [--min-speedup NAME=X]...
                          FILE [FILE...]
 
 Schema mode (always on): exits nonzero (with a message per problem) when a
@@ -49,11 +48,6 @@ candidate FILE against the baseline by scenario name.
   * Per-scenario tolerance: SCENARIO_TOLERANCE_PCT widens the gate for
     scenarios whose smoke-scale wall time is milliseconds (where scheduler
     jitter dominates); --tolerance sets the default for the rest.
-
---min-speedup NAME=X (repeatable) asserts an absolute floor on a candidate
-scenario's speedup_vs_serial — always a hard failure, no baseline needed.
-The multicore CI job uses it to pin "parallel actually parallelizes"
-independently of any drift-relative gate.
 
 Stdlib only (json, os, sys) — no pip dependencies.
 """
@@ -290,33 +284,6 @@ def compare_against_baseline(path, baseline_path, tolerance_pct, hard_mode):
     return hard, soft
 
 
-def check_min_speedups(path, floors):
-    """Absolute speedup_vs_serial floors; every violation is hard."""
-    problems = []
-    doc = load_doc(path)
-    rows = scenario_map(doc)
-    for name, floor in floors:
-        row = rows.get(name)
-        if row is None:
-            problems.append(
-                f"{path}: --min-speedup names scenario '{name}' which is "
-                "not in the file"
-            )
-            continue
-        value = row.get("speedup_vs_serial")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(
-                f"{path}: scenario '{name}' has no numeric "
-                "speedup_vs_serial to hold to the --min-speedup floor"
-            )
-        elif value < floor:
-            problems.append(
-                f"{path}: scenario '{name}' speedup_vs_serial {value:.3g} "
-                f"below the --min-speedup floor {floor:g}"
-            )
-    return problems
-
-
 def emit_soft_report(path, baseline_path, regressions):
     for name, metric, base_value, cand_value, delta_pct, tol_pct in (
         regressions
@@ -358,7 +325,6 @@ def main(argv):
     baseline = None
     tolerance = 25.0
     hard_mode = False
-    min_speedups = []
     paths = []
     i = 1
     while i < len(argv):
@@ -377,23 +343,6 @@ def main(argv):
         elif argv[i] == "--hard":
             hard_mode = True
             i += 1
-        elif argv[i] == "--min-speedup":
-            if i + 1 >= len(argv):
-                print("--min-speedup needs NAME=X", file=sys.stderr)
-                return 2
-            name, sep, floor_text = argv[i + 1].partition("=")
-            try:
-                floor = float(floor_text) if sep else None
-            except ValueError:
-                floor = None
-            if not name or floor is None or not floor > 0:
-                print(
-                    f"bad --min-speedup '{argv[i + 1]}' (want NAME=X, X > 0)",
-                    file=sys.stderr,
-                )
-                return 2
-            min_speedups.append((name, floor))
-            i += 2
         elif argv[i] == "--tolerance":
             if i + 1 >= len(argv):
                 print("--tolerance needs a value", file=sys.stderr)
@@ -431,10 +380,6 @@ def main(argv):
                 all_problems.extend(hard)
                 if soft:
                     emit_soft_report(path, baseline, soft)
-
-    if min_speedups and not all_problems:
-        for path in paths:
-            all_problems.extend(check_min_speedups(path, min_speedups))
 
     for problem in all_problems:
         print(f"FAIL {problem}", file=sys.stderr)

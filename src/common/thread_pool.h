@@ -1,11 +1,10 @@
-// Fixed-size thread pool for batch-parallel candidate evaluation.
+// Fixed-size thread pool for the repo's fan-outs.
 //
 // Deliberately work-stealing-free: tasks are pulled from one shared FIFO
-// queue, which is all the fan-out pattern here needs (a handful of
-// milliseconds-long simulator replays per batch) and keeps the scheduling
-// order easy to reason about. The pool exists so the optimizer can evaluate
-// candidate batches concurrently (opt/evaluator.h, ParallelBatchEvaluator)
-// and so bench binaries can run independent experiments side by side.
+// queue, which is all the fan-out patterns here need and keeps the
+// scheduling order easy to reason about. The pool steps fleet regions in
+// parallel between control barriers (fleet/fleet_controller.h) and runs
+// independent campaign cells side by side (exp/runner.h).
 //
 // Thread-safety: Submit and ParallelFor may be called from any thread that
 // is NOT a pool worker (a pool task that blocks on ParallelFor of the same
@@ -15,8 +14,8 @@
 // Determinism: the pool itself schedules nondeterministically; determinism
 // is the *caller's* contract. ParallelFor hands each task a stable `slot`
 // index in [0, slots) such that two tasks with the same slot never run
-// concurrently — callers keep per-slot scratch state (RNG streams, simulator
-// replicas) and fold results by item index, which makes outputs independent
+// concurrently — callers keep per-slot scratch state (a campaign slot's
+// harness) and fold results by item index, which makes outputs independent
 // of thread count and scheduling (see docs/ARCHITECTURE.md, "Threading and
 // determinism").
 #pragma once

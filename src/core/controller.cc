@@ -46,11 +46,9 @@ Controller::Controller(sim::ClusterSim* sim, const models::ModelZoo* zoo,
   cache_ = std::make_unique<opt::CachingEvaluator>(sim_evaluator_.get());
 
   // Screen-then-simulate: build the analytic fast tier matched to the
-  // production workload and push the factor into the search options.
+  // production workload.
   CLOVER_CHECK(options_.screen_factor >= 1);
   if (options_.screen_factor > 1) {
-    options_.sa.screen_factor = options_.screen_factor;
-    options_.rs.screen_factor = options_.screen_factor;
     opt::SurrogateEvaluator::Options surrogate_options;
     surrogate_options.arrival_rate_qps = sim_->options().arrival_rate_qps;
     surrogate_options.l_tail_ms = params_.l_tail_ms;
@@ -63,13 +61,17 @@ Controller::Controller(sim::ClusterSim* sim, const models::ModelZoo* zoo,
 
   if (options_.scheme == Scheme::kClover) {
     // Clover: SA in graph space through the cross-invocation cache.
+    opt::SimulatedAnnealing::Options sa;
+    sa.screen_factor = options_.screen_factor;
     annealer_ = std::make_unique<opt::SimulatedAnnealing>(
-        cache_.get(), &sampler_, options_.sa, options_.seed);
+        cache_.get(), &sampler_, sa, options_.seed);
     if (surrogate_ != nullptr) annealer_->SetSurrogate(surrogate_.get());
   } else {
     // Blover: random search, no graph structure, no cache.
+    opt::RandomSearch::Options rs;
+    rs.screen_factor = options_.screen_factor;
     random_search_ = std::make_unique<opt::RandomSearch>(
-        sim_evaluator_.get(), &mapper_, options_.rs, options_.seed);
+        sim_evaluator_.get(), &mapper_, rs, options_.seed);
     if (surrogate_ != nullptr) random_search_->SetSurrogate(surrogate_.get());
   }
 }

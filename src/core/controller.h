@@ -73,12 +73,9 @@ class Controller {
     // controller builds an analytic surrogate (opt/surrogate.h) matched to
     // the production workload and installs it on the search: each proposal
     // round oversamples by this factor and only the surrogate's top-ranked
-    // slice pays for a deploy-and-measure evaluation. Copied into sa/rs
-    // screen_factor at construction (any value set there directly is
-    // overridden when this knob is > 1).
+    // candidate pays for a deploy-and-measure evaluation. Every other
+    // search option keeps its default.
     int screen_factor = 1;
-    opt::SimulatedAnnealing::Options sa;
-    opt::RandomSearch::Options rs;
     std::uint64_t seed = 1;
   };
 

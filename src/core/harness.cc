@@ -112,18 +112,14 @@ const BaselineCalibration& ExperimentHarness::Calibrate(
   auto it = calibration_cache_.find(key);
   if (it != calibration_cache_.end()) return it->second;
 
-  // Calibration run: BASE deployment, flat trace, 10-minute warmup then a
-  // 30-minute measurement. The p95 of this run defines the SLA target.
+  // Calibration run: the BASE deployment probed on a flat trace, 10-minute
+  // warmup then a 30-minute measurement. The p95 of this run defines the
+  // SLA target.
   static const carbon::CarbonTrace kFlatTrace(
       "calibration", 3600.0, std::vector<double>(48, 250.0));
-  serving::Deployment base = serving::MakeBase(app, sizing_gpus);
-  sim::SimOptions options;
-  options.arrival_rate_qps = rate;
-  options.window_seconds = 300.0;
-  options.seed = seed;
-  sim::ClusterSim sim(base, *zoo_, &kFlatTrace, options);
-  sim.AdvanceTo(MinutesToSeconds(10));
-  const sim::Measurement measurement = sim.Measure(MinutesToSeconds(30));
+  const sim::Measurement measurement = sim::ProbeDeployment(
+      serving::MakeBase(app, sizing_gpus), *zoo_, &kFlatTrace, rate, seed,
+      MinutesToSeconds(10), MinutesToSeconds(30));
   CLOVER_CHECK_MSG(measurement.completions > 0,
                    "calibration run served no requests");
 

@@ -4,10 +4,19 @@
 
 #include "common/check.h"
 #include "common/units.h"
+#include "opt/evaluator.h"
 #include "perf/perf_model.h"
 #include "sim/cluster_sim.h"
 
 namespace clover::core {
+namespace {
+
+// Each standardized configuration's probe: warm-up, then the measured
+// window.
+constexpr double kWarmupS = 30.0;
+constexpr double kMeasureS = 60.0;
+
+}  // namespace
 
 Oracle::Oracle(const models::ModelZoo* zoo, models::Application app,
                int num_gpus, double arrival_rate_qps, std::uint64_t seed)
@@ -20,7 +29,7 @@ Oracle::Oracle(const models::ModelZoo* zoo, models::Application app,
   CLOVER_CHECK(num_gpus_ > 0 && arrival_rate_qps_ > 0.0);
 }
 
-void Oracle::Profile(double warmup_s, double measure_s) {
+void Oracle::Profile() {
   entries_.clear();
   const models::ModelFamily& family = zoo_->ForApplication(app_);
   const auto& table = mig::MigConfigTable::Get();
@@ -80,22 +89,13 @@ void Oracle::Profile(double warmup_s, double measure_s) {
   for (const graph::ConfigGraph& config : configs) {
     const auto deployment = mapper.ToDeployment(config);
     if (!deployment.has_value()) continue;
-
-    sim::SimOptions options;
-    options.arrival_rate_qps = arrival_rate_qps_;
-    options.window_seconds = warmup_s + measure_s;  // no window churn
-    options.seed = seed_;
-    sim::ClusterSim sim(*deployment, *zoo_, &kFlatTrace, options);
-    sim.AdvanceTo(warmup_s);
-    const sim::Measurement measurement = sim.Measure(measure_s);
-
     OracleEntry entry;
     entry.graph = config;
-    entry.metrics.accuracy = measurement.weighted_accuracy;
-    entry.metrics.energy_per_request_j = measurement.energy_per_request_j;
-    entry.metrics.p95_ms = measurement.p95_ms;
+    entry.metrics = opt::MetricsOf(
+        sim::ProbeDeployment(*deployment, *zoo_, &kFlatTrace,
+                             arrival_rate_qps_, seed_, kWarmupS, kMeasureS));
     entries_.push_back(std::move(entry));
-    profiling_testbed_hours_ += SecondsToHours(warmup_s + measure_s);
+    profiling_testbed_hours_ += SecondsToHours(kWarmupS + kMeasureS);
   }
   CLOVER_CHECK_MSG(!entries_.empty(), "oracle profiled zero configurations");
 }

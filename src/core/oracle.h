@@ -33,8 +33,8 @@ class Oracle {
          double arrival_rate_qps, std::uint64_t seed);
 
   // Profiles every standardized configuration with a warmed-up
-  // mini-simulation. `warmup_s`/`measure_s` trade fidelity for time.
-  void Profile(double warmup_s = 30.0, double measure_s = 60.0);
+  // mini-simulation (sim::ProbeDeployment).
+  void Profile();
 
   // Best profiled entry at intensity `ci`: max f among SLA-compliant
   // entries (BASE is always compliant, so one always exists).

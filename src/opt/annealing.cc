@@ -148,13 +148,7 @@ SimulatedAnnealing::SimulatedAnnealing(Evaluator* evaluator,
       options_(options),
       accept_rng_(seed, "sa-acceptance") {
   CLOVER_CHECK(evaluator_ != nullptr && sampler_ != nullptr);
-  CLOVER_CHECK(options_.batch_size >= 1);
   CLOVER_CHECK(options_.screen_factor >= 1);
-}
-
-void SimulatedAnnealing::SetBatchEvaluator(BatchEvaluator* batch) {
-  CLOVER_CHECK(batch != nullptr);
-  batch_ = batch;
 }
 
 void SimulatedAnnealing::SetSurrogate(Evaluator* surrogate) {
@@ -177,10 +171,13 @@ SearchResult SimulatedAnnealing::Run(
   double center_h = 0.0;
   bool have_center = false;
 
-  // Serial fold of one evaluated seed: accounting, best-tracking and
-  // center selection. Returns false once the time budget is exhausted.
-  auto fold_seed = [&](const graph::ConfigGraph& seed,
-                       const EvalOutcome& outcome) {
+  // Evaluate every seed (the incumbent deployment first — measuring it is
+  // cheap since no reconfiguration is needed — then any blind probes); the
+  // lowest-energy seed becomes the annealing center. Each seed is evaluated
+  // only if the budget survived the previous one (the shared online
+  // evaluator must not be touched past the budget).
+  for (const graph::ConfigGraph& seed : seeds) {
+    const EvalOutcome outcome = evaluator_->Evaluate(seed);
     FoldEvaluation(seed, outcome, params, ci, &result);
     const double h = AnnealEnergyH(result.evaluations.back().f,
                                    outcome.metrics.p95_ms, params.l_tail_ms);
@@ -189,41 +186,49 @@ SearchResult SimulatedAnnealing::Run(
       center_h = h;
       have_center = true;
     }
-    return result.elapsed_seconds < options_.time_budget_s;
-  };
-
-  // Evaluate every seed (the incumbent deployment first — measuring it is
-  // cheap since no reconfiguration is needed — then any blind probes); the
-  // lowest-energy seed becomes the annealing center. With a batch executor
-  // the seeds are one parallel batch folded in order; serially each seed is
-  // evaluated only if the budget survived the previous one (the shared
-  // online evaluator must not be touched past the budget).
-  if (batch_ != nullptr) {
-    const std::vector<EvalOutcome> outcomes = batch_->EvaluateBatch(seeds);
-    for (std::size_t i = 0; i < seeds.size(); ++i)
-      if (!fold_seed(seeds[i], outcomes[i])) break;
-  } else {
-    for (const graph::ConfigGraph& seed : seeds)
-      if (!fold_seed(seed, evaluator_->Evaluate(seed))) break;
+    if (result.elapsed_seconds >= options_.time_budget_s) break;
   }
 
   double temperature = options_.t0;
   int consecutive_no_improve = 0;
-  auto evaluated = [&] { return static_cast<int>(result.evaluations.size()); };
   auto stopped = [&] {
     return result.elapsed_seconds >= options_.time_budget_s ||
            consecutive_no_improve >= options_.no_improve_limit ||
-           evaluated() >= options_.max_evaluations;
+           static_cast<int>(result.evaluations.size()) >=
+               options_.max_evaluations;
   };
 
-  // Serial fold of one evaluated proposal: record, best-tracking, the
-  // acceptance chain against the evolving center, and one cooling step.
-  auto fold_proposal = [&](const graph::ConfigGraph& candidate,
-                           const EvalOutcome& outcome) {
+  const bool screening = surrogate_ != nullptr && options_.screen_factor > 1;
+  std::vector<graph::ConfigGraph> proposals;
+  while (!stopped()) {
+    // One round: a proposal from the current center (screen_factor of them
+    // when screening). The search ends when the center's neighborhood is
+    // exhausted.
+    proposals.clear();
+    for (int i = 0; i < (screening ? options_.screen_factor : 1); ++i) {
+      auto candidate = sampler_->Sample(center);
+      if (!candidate.has_value()) break;
+      proposals.push_back(std::move(*candidate));
+    }
+    if (proposals.empty()) break;  // neighborhood exhausted
+
+    // Screen-then-simulate: the surrogate ranks the oversampled pool and
+    // only its favourite pays for a simulation.
+    if (screening)
+      ScreenPool(surrogate_, params, ci, 1, &proposals, &result.screened);
+    const graph::ConfigGraph& candidate = proposals.front();
+    EvalOutcome outcome;
+    {
+      CLOVER_TRACE_SCOPE("opt.simulate_batch");
+      outcome = evaluator_->Evaluate(candidate);
+    }
+    CLOVER_OBS_COUNT("opt.simulated", 1);
+
+    // Fold: record, best-tracking, the acceptance test against the center,
+    // and one cooling step.
     const bool improved =
         FoldEvaluation(candidate, outcome, params, ci, &result);
     consecutive_no_improve = improved ? 0 : consecutive_no_improve + 1;
-
     const double candidate_h =
         AnnealEnergyH(result.evaluations.back().f, outcome.metrics.p95_ms,
                       params.l_tail_ms);
@@ -239,48 +244,6 @@ SearchResult SimulatedAnnealing::Run(
     }
     temperature = std::max(options_.t_min,
                            temperature - options_.cooling_step);
-  };
-
-  SerialBatchEvaluator serial(evaluator_);
-  BatchEvaluator* batch = batch_ != nullptr ? batch_ : &serial;
-  const int batch_size = batch_ != nullptr ? options_.batch_size : 1;
-
-  std::vector<graph::ConfigGraph> proposals;
-  proposals.reserve(static_cast<std::size_t>(batch_size));
-  while (!stopped()) {
-    // One speculative round: up to batch_size proposals drawn sequentially
-    // from the round's starting center. A mid-round Sample failure only
-    // shortens this round — the fold may accept a new center whose
-    // neighborhood is samplable again, so the next round retries from it;
-    // the search ends only when a round opens with zero proposals (the
-    // current center's neighborhood is exhausted, matching the legacy
-    // serial termination).
-    const int round =
-        std::min(batch_size, options_.max_evaluations - evaluated());
-    const bool screening = surrogate_ != nullptr && options_.screen_factor > 1;
-    const int pool_size = screening ? round * options_.screen_factor : round;
-    proposals.clear();
-    for (int i = 0; i < pool_size; ++i) {
-      auto candidate = sampler_->Sample(center);
-      if (!candidate.has_value()) break;
-      proposals.push_back(std::move(*candidate));
-    }
-    if (proposals.empty()) break;  // neighborhood exhausted
-
-    // Screen-then-simulate: the surrogate ranks the oversampled pool and
-    // only the top round-size slice pays for a simulation.
-    if (screening)
-      ScreenPool(surrogate_, params, ci, static_cast<std::size_t>(round),
-                 &proposals, &result.screened);
-
-    std::vector<EvalOutcome> outcomes;
-    {
-      CLOVER_TRACE_SCOPE("opt.simulate_batch");
-      outcomes = batch->EvaluateBatch(proposals);
-    }
-    CLOVER_OBS_COUNT("opt.simulated", proposals.size());
-    for (std::size_t i = 0; i < proposals.size() && !stopped(); ++i)
-      fold_proposal(proposals[i], outcomes[i]);
   }
 
   CLOVER_CHECK(!result.evaluations.empty());

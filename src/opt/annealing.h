@@ -15,27 +15,13 @@
 // I "settles with the only SLA-compliant configuration it has found" —
 // compliance is required before anything else).
 //
-// Execution model (batch-synchronous speculative annealing). With a
-// BatchEvaluator installed and Options::batch_size = B, each round draws B
-// proposals sequentially from the round's starting center, evaluates the
-// whole batch (possibly in parallel), then folds outcomes IN PROPOSAL
-// ORDER: record, best-tracking, the acceptance test against the *evolving*
-// center energy, and the per-evaluation cooling step all happen in the
-// fold. Proposals later in a round are therefore speculative — they were
-// drawn from the round's starting center even if an earlier proposal was
-// accepted mid-fold — which is the standard speculative trade: batch_size
-// widens the proposal front in exchange for parallel evaluation. The
-// documented serial semantics:
-//   * batch_size == 1 reproduces the legacy one-at-a-time annealer
-//     bit-for-bit (sampling, acceptance RNG draws, cooling — everything);
-//   * for fixed (options, seed), results are bit-identical across thread
-//     counts of a pure parallel evaluator (sampling, acceptance draws and
-//     folding are all serial; see evaluator.h);
-//   * outcomes past a mid-fold termination are discarded, never accounted.
+// Execution model. One proposal per round, drawn from the current center
+// (with screening: screen_factor proposals, of which the surrogate keeps
+// one), evaluated, then folded: record, best-tracking, the acceptance test
+// and one cooling step.
 //
 // Thread-safety: a SimulatedAnnealing instance is a single-threaded
-// driver; all concurrency lives behind the BatchEvaluator. Run must not be
-// called concurrently on one instance.
+// driver. Run must not be called concurrently on one instance.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +65,9 @@ struct SearchResult {
 
 // True iff two results agree bit-for-bit in every reported field (best,
 // every evaluation record, accounting counters). This is the single
-// definition of the parallel-execution determinism contract — the unit
-// tests (tests/opt_parallel_test.cc) and the CI gate (bench/bench_runner)
-// both check against it, so they cannot drift apart.
+// definition of the searches' determinism contract — the unit tests
+// (tests/surrogate_test.cc) and the CI gate (bench/bench_runner's same-seed
+// twin) both check against it, so they cannot drift apart.
 bool SearchResultsBitIdentical(const SearchResult& a, const SearchResult& b);
 
 // Screen-then-simulate support shared by the searches: evaluates every
@@ -90,8 +76,8 @@ bool SearchResultsBitIdentical(const SearchResult& a, const SearchResult& b);
 // ascending violation; ties broken by sampling index), and returns the
 // indices of the `keep` most promising candidates IN SAMPLING ORDER — the
 // fold then processes survivors exactly as if they had been sampled
-// directly. Serial and deterministic for any thread count. Surrogate
-// outcomes are used only for this ranking; they are never recorded.
+// directly. Deterministic. Surrogate outcomes are used only for this
+// ranking; they are never recorded.
 std::vector<std::size_t> ScreenCandidates(
     Evaluator* surrogate, const std::vector<graph::ConfigGraph>& pool,
     const ObjectiveParams& params, double ci, std::size_t keep);
@@ -123,27 +109,16 @@ class SimulatedAnnealing {
     int no_improve_limit = 5;
     double time_budget_s = 300.0;  // the paper's 5-minute cap
     int max_evaluations = 1000;    // hard safety stop
-    // Proposals per speculative round (file comment). 1 = legacy serial
-    // schedule; only takes effect once SetBatchEvaluator installed a batch
-    // executor. Keep modest (~2x the evaluator's thread count): every
-    // accepted proposal invalidates the rest of its round's centering.
-    int batch_size = 1;
     // Screen-then-simulate: with a surrogate installed (SetSurrogate) and
-    // screen_factor = K > 1, each round draws K times as many proposals,
-    // ranks them with the surrogate, and simulates only the top round-size
-    // slice. 1 disables screening. Changing K changes which proposals are
-    // drawn (more sampler draws per round), so results are comparable only
-    // at a fixed (options, seed, K) — determinism across thread counts is
-    // unaffected (the screen is serial and the surrogate pure).
+    // screen_factor = K > 1, each round draws K proposals, ranks them with
+    // the surrogate, and simulates only the top one. 1 disables screening.
+    // Changing K changes which proposals are drawn (more sampler draws per
+    // round), so results are comparable only at a fixed (options, seed, K).
     int screen_factor = 1;
   };
 
   SimulatedAnnealing(Evaluator* evaluator, graph::NeighborSampler* sampler,
                      const Options& options, std::uint64_t seed);
-
-  // Routes proposal batches through `batch` (borrowed; must outlive the
-  // annealer). Determinism contract: see the file comment.
-  void SetBatchEvaluator(BatchEvaluator* batch);
 
   // Installs the fast-fidelity ranking tier (borrowed; must outlive the
   // annealer). Takes effect when Options::screen_factor > 1; seed
@@ -164,8 +139,7 @@ class SimulatedAnnealing {
   graph::NeighborSampler* sampler_;
   Options options_;
   RngStream accept_rng_;
-  BatchEvaluator* batch_ = nullptr;     // nullptr: serial via evaluator_
-  Evaluator* surrogate_ = nullptr;      // nullptr: no screening tier
+  Evaluator* surrogate_ = nullptr;  // nullptr: no screening tier
 };
 
 }  // namespace clover::opt

@@ -9,30 +9,18 @@
 //   SimEvaluator      deploy + measure on the live ClusterSim
 //   CachingEvaluator  wraps another evaluator with a graph-keyed cache —
 //                     revisited graphs are "saved" evaluations (Fig. 12b)
-//   ReplayEvaluator   deploys the candidate on a private warm cluster
-//                     replica — side-effect-free, so batches of candidates
-//                     can be evaluated concurrently
+//   ReplayEvaluator   probes the candidate on a private, freshly built
+//                     cluster (sim::ProbeDeployment, the same probe ORACLE
+//                     profiles with) — side-effect-free, so an offline
+//                     search never touches the production cluster
 //
 // The closed-form steady-state estimate lives in opt/surrogate.h.
-//
-// Batch evaluation: the searches (random_search.h, annealing.h) consume
-// candidates through the BatchEvaluator interface. SerialBatchEvaluator
-// adapts any Evaluator; ParallelBatchEvaluator fans a batch out over a
-// thread pool with one evaluator replica per pool slot. Parallel batches
-// require *pure* replicas — Evaluate must be a function of the graph alone
-// (ReplayEvaluator and SurrogateEvaluator qualify; SimEvaluator does NOT:
-// it mutates the shared production simulator, which is exactly why the
-// online control loop stays serial). Under that contract results are
-// bit-identical for every thread count (see docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "carbon/trace.h"
-#include "common/thread_pool.h"
 #include "graph/config_graph.h"
 #include "graph/mapping.h"
 #include "opt/objective.h"
@@ -46,6 +34,9 @@ struct EvalOutcome {
   bool from_cache = false;
   double cost_seconds = 0.0;  // wall (simulated) time the evaluation took
 };
+
+// The (A, E, L) triple read off one measured window.
+EvalMetrics MetricsOf(const sim::Measurement& measurement);
 
 class Evaluator {
  public:
@@ -103,15 +94,13 @@ class CachingEvaluator : public Evaluator {
   std::uint64_t misses_ = 0;
 };
 
-// Offline evaluator that replays each candidate on a private, freshly
-// constructed cluster replica: deploy, let the queue warm up for
-// `settle_s`, then measure for `measure_window_s`. Because every call
-// builds its own simulator from the same (trace, seed) options, Evaluate
-// is a pure function of the graph — two calls with the same graph return
-// bit-identical outcomes, on any thread. This is the evaluator behind
-// parallel candidate batches (planning / what-if / bench runs); the online
-// control loop keeps using SimEvaluator, whose evaluation cost is paid on
-// the production cluster by design.
+// Offline evaluator that probes each candidate on a private, freshly
+// constructed cluster: deploy, warm up for `settle_s`, then measure for
+// `measure_window_s` (sim::ProbeDeployment). Because every call builds its
+// own simulator from the same (trace, seed) options, Evaluate is a pure
+// function of the graph — two calls with the same graph return
+// bit-identical outcomes. The online control loop keeps using SimEvaluator,
+// whose evaluation cost is paid on the production cluster by design.
 class ReplayEvaluator : public Evaluator {
  public:
   struct Options {
@@ -119,10 +108,10 @@ class ReplayEvaluator : public Evaluator {
     double settle_s = 4.0;           // warm-up before the measurement
     double measure_window_s = 12.0;  // measured probe
     double l_tail_ms = 0.0;          // SLA for the sla_ok verdict
-    std::uint64_t seed = 1;          // replica arrival/jitter streams
+    std::uint64_t seed = 1;          // probe arrival/jitter streams
   };
 
-  // `trace` must outlive the evaluator (read-only; shared across replicas).
+  // `trace` must outlive the evaluator (read-only).
   ReplayEvaluator(const models::ModelZoo* zoo,
                   const carbon::CarbonTrace* trace, int num_gpus,
                   const Options& options);
@@ -130,12 +119,12 @@ class ReplayEvaluator : public Evaluator {
   EvalOutcome Evaluate(const graph::ConfigGraph& graph) override;
 
   // Calibrates a replay-based search against `base` (normally the BASE
-  // deployment's graph) measured by the same replay mechanism candidates
-  // will use: returns `options` with l_tail_ms = 1.2 * p95(base), and
-  // fills `params` with the paper-default objective anchored to the
-  // measured baseline (a_base, c_base_g at intensity `ci`, lambda 0.5).
-  // One recipe shared by every replay consumer (bench_runner, the
-  // determinism tests) so the contract they check cannot drift.
+  // deployment's graph) measured by the same probe candidates will get:
+  // returns `options` with l_tail_ms = 1.2 * p95(base), and fills `params`
+  // with the paper-default objective anchored to the measured baseline
+  // (a_base, c_base_g at intensity `ci`, lambda 0.5). One recipe shared by
+  // every replay consumer (bench_runner's opt_screened row, the search
+  // tests) so the contract they check cannot drift.
   static Options CalibrateAgainst(const models::ModelZoo* zoo,
                                   const carbon::CarbonTrace* trace,
                                   int num_gpus,
@@ -146,55 +135,8 @@ class ReplayEvaluator : public Evaluator {
  private:
   const models::ModelZoo* zoo_;
   const carbon::CarbonTrace* trace_;
-  graph::GraphMapper mapper_;  // owned per replica: the solver memoizes
+  graph::GraphMapper mapper_;  // owned: the solver memoizes
   Options options_;
-};
-
-// Evaluates whole candidate batches; how (serially, in parallel, remotely)
-// is the implementation's business. Searches interact only with this
-// interface, so the execution strategy is swappable without touching the
-// search logic. outcomes[i] always corresponds to graphs[i].
-class BatchEvaluator {
- public:
-  virtual ~BatchEvaluator() = default;
-  virtual std::vector<EvalOutcome> EvaluateBatch(
-      const std::vector<graph::ConfigGraph>& graphs) = 0;
-};
-
-// Loops over the batch on the calling thread. Wrapping the searches'
-// single-candidate evaluator in this adapter reproduces the legacy serial
-// behaviour exactly (same call order, same shared-state effects).
-class SerialBatchEvaluator : public BatchEvaluator {
- public:
-  explicit SerialBatchEvaluator(Evaluator* inner);
-
-  std::vector<EvalOutcome> EvaluateBatch(
-      const std::vector<graph::ConfigGraph>& graphs) override;
-
- private:
-  Evaluator* inner_;
-};
-
-// Fans a batch out over `pool`, assigning work dynamically but binding one
-// evaluator replica to each pool slot (two tasks on the same slot never run
-// concurrently, so replicas need no locking). Requires pure replicas — each
-// Evaluate must depend only on its graph argument — which makes the batch
-// result bit-identical for every pool size. `replicas` must hold at least
-// min(pool->num_threads(), batch size) entries; extra replicas are unused.
-//
-// Thread-safety: one EvaluateBatch call at a time per instance (the
-// searches, the only callers, are single-threaded drivers).
-class ParallelBatchEvaluator : public BatchEvaluator {
- public:
-  ParallelBatchEvaluator(ThreadPool* pool,
-                         std::vector<std::unique_ptr<Evaluator>> replicas);
-
-  std::vector<EvalOutcome> EvaluateBatch(
-      const std::vector<graph::ConfigGraph>& graphs) override;
-
- private:
-  ThreadPool* pool_;
-  std::vector<std::unique_ptr<Evaluator>> replicas_;
 };
 
 }  // namespace clover::opt

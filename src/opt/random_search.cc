@@ -1,6 +1,5 @@
 #include "opt/random_search.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
@@ -18,13 +17,7 @@ RandomSearch::RandomSearch(Evaluator* evaluator, graph::GraphMapper* mapper,
       options_(options),
       rng_(seed, "blover-random-search") {
   CLOVER_CHECK(evaluator_ != nullptr && mapper_ != nullptr);
-  CLOVER_CHECK(options_.batch_size >= 1);
   CLOVER_CHECK(options_.screen_factor >= 1);
-}
-
-void RandomSearch::SetBatchEvaluator(BatchEvaluator* batch) {
-  CLOVER_CHECK(batch != nullptr);
-  batch_ = batch;
 }
 
 void RandomSearch::SetSurrogate(Evaluator* surrogate) {
@@ -40,52 +33,35 @@ graph::ConfigGraph RandomSearch::SampleConfiguration(models::Application app) {
 SearchResult RandomSearch::Run(const graph::ConfigGraph& start,
                                const ObjectiveParams& params, double ci) {
   SearchResult result;
-  SerialBatchEvaluator serial(evaluator_);
-  BatchEvaluator* batch = batch_ != nullptr ? batch_ : &serial;
-  const int batch_size = batch_ != nullptr ? options_.batch_size : 1;
-
-  {
-    const std::vector<graph::ConfigGraph> first{start};
-    FoldEvaluation(start, batch->EvaluateBatch(first)[0], params, ci,
-                   &result);
-  }
+  FoldEvaluation(start, evaluator_->Evaluate(start), params, ci, &result);
 
   int consecutive_no_improve = 0;
-  auto evaluated = [&] { return static_cast<int>(result.evaluations.size()); };
   auto stopped = [&] {
     return result.elapsed_seconds >= options_.time_budget_s ||
            consecutive_no_improve >= options_.no_improve_limit ||
-           evaluated() >= options_.max_evaluations;
+           static_cast<int>(result.evaluations.size()) >=
+               options_.max_evaluations;
   };
 
   const bool screening = surrogate_ != nullptr && options_.screen_factor > 1;
   std::vector<graph::ConfigGraph> candidates;
-  candidates.reserve(static_cast<std::size_t>(batch_size));
   while (!stopped()) {
-    const int round =
-        std::min(batch_size, options_.max_evaluations - evaluated());
-    const int pool_size = screening ? round * options_.screen_factor : round;
     candidates.clear();
-    for (int i = 0; i < pool_size; ++i)
+    for (int i = 0; i < (screening ? options_.screen_factor : 1); ++i)
       candidates.push_back(SampleConfiguration(start.app()));
     // Screen-then-simulate: the surrogate ranks the oversampled pool; only
-    // the top round-size slice is simulated.
+    // its favourite is simulated.
     if (screening)
-      ScreenPool(surrogate_, params, ci, static_cast<std::size_t>(round),
-                 &candidates, &result.screened);
-    std::vector<EvalOutcome> outcomes;
+      ScreenPool(surrogate_, params, ci, 1, &candidates, &result.screened);
+    EvalOutcome outcome;
     {
       CLOVER_TRACE_SCOPE("opt.simulate_batch");
-      outcomes = batch->EvaluateBatch(candidates);
+      outcome = evaluator_->Evaluate(candidates.front());
     }
-    CLOVER_OBS_COUNT("opt.simulated", candidates.size());
-    for (int i = 0; i < round && !stopped(); ++i) {
-      const bool improved =
-          FoldEvaluation(candidates[static_cast<std::size_t>(i)],
-                         outcomes[static_cast<std::size_t>(i)], params, ci,
-                         &result);
-      consecutive_no_improve = improved ? 0 : consecutive_no_improve + 1;
-    }
+    CLOVER_OBS_COUNT("opt.simulated", 1);
+    const bool improved =
+        FoldEvaluation(candidates.front(), outcome, params, ci, &result);
+    consecutive_no_improve = improved ? 0 : consecutive_no_improve + 1;
   }
   CLOVER_OBS_COUNT("opt.evaluated", result.evaluations.size());
   return result;

@@ -6,7 +6,7 @@
 // the paper's testbed) and of public MIG characterizations (MISO, IPDPSW'22
 // "Characterizing MIG for ML workloads"). The evaluation reproduces the
 // paper's *relative* trends; absolute joules/milliseconds depend on these
-// constants and are documented in EXPERIMENTS.md.
+// constants and are documented in docs/EXPERIMENTS.md.
 #pragma once
 
 namespace clover::perf {

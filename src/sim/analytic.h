@@ -70,9 +70,8 @@ double MmcWaitQuantile(const MmcConfig& config, const MmcMetrics& metrics,
 // Quantile of the sojourn time T = Wq + S (wait plus exponential service).
 // The CCDF is the closed-form convolution of the Erlang-C wait with an
 // Exp(mu) service time; the quantile is found by bisection on that CCDF.
-// Shared ground truth for the surrogate screen (opt/surrogate.h) and the
-// mean-field fidelity tier (sim/meanfield.h), so both tiers quote the same
-// p95 for the same aggregate M/M/c and differ only in their dynamics.
+// Ground truth of the queueing recipe (sim/queueing.h) that the surrogate
+// screen and the mean-field tier share.
 double MmcSojournQuantile(const MmcConfig& config, double q);
 // The same quantile from `metrics` = AnalyzeMmc(config).
 double MmcSojournQuantile(const MmcConfig& config, const MmcMetrics& metrics,

@@ -575,4 +575,18 @@ Measurement ClusterSim::Measure(double duration_s) {
   return measurement;
 }
 
+Measurement ProbeDeployment(const serving::Deployment& deployment,
+                            const models::ModelZoo& zoo,
+                            const carbon::CarbonTrace* trace,
+                            double arrival_rate_qps, std::uint64_t seed,
+                            double warmup_s, double measure_s) {
+  CLOVER_CHECK(warmup_s >= 0.0 && measure_s > 0.0);
+  SimOptions options;
+  options.arrival_rate_qps = arrival_rate_qps;
+  options.seed = seed;
+  ClusterSim sim(deployment, zoo, trace, options);
+  if (warmup_s > 0.0) sim.AdvanceTo(warmup_s);
+  return sim.Measure(measure_s);
+}
+
 }  // namespace clover::sim

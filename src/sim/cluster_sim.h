@@ -269,4 +269,17 @@ class ClusterSim {
   double probe_dynamic_j_ = 0.0;
 };
 
+// The offline probe of one deployment: a fresh ClusterSim at
+// `arrival_rate_qps` and `seed` (every other option at its default)
+// warms up for `warmup_s`, then Measure()s one `measure_s` window. The
+// Measurement has its own accumulators, so where the accounting windows
+// close does not change it; the default window bounds the samples a long
+// probe holds. The harness's SLA calibration, ORACLE's profiling and
+// opt::ReplayEvaluator all probe this way.
+Measurement ProbeDeployment(const serving::Deployment& deployment,
+                            const models::ModelZoo& zoo,
+                            const carbon::CarbonTrace* trace,
+                            double arrival_rate_qps, std::uint64_t seed,
+                            double warmup_s, double measure_s);
+
 }  // namespace clover::sim

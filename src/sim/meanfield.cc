@@ -1,50 +1,20 @@
 #include "sim/meanfield.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/units.h"
-#include "perf/perf_model.h"
 #include "power/power_model.h"
-#include "sim/analytic.h"
 
 namespace clover::sim {
 namespace {
 
-// Collapses a Deployment into mean-field server classes, sorted in the
-// simulator's dispatch order (accuracy desc, then service time asc).
-std::vector<MeanFieldClass> CollapseDeployment(
-    const serving::Deployment& deployment, const models::ModelZoo& zoo) {
-  const models::ModelFamily& family = zoo.ForApplication(deployment.app);
-  std::vector<MeanFieldClass> classes;
-  for (const serving::InstanceSpec& spec : deployment.Instances()) {
-    const models::ModelVariant& variant = family.Variant(spec.variant_ordinal);
-    MeanFieldClass cls;
-    cls.service_ms = perf::PerfModel::LatencyMs(family, variant, spec.slice);
-    cls.dynamic_watts = power::PowerModel::DynamicWatts(variant, spec.slice);
-    cls.accuracy = variant.accuracy;
-    cls.count = 1;
-    auto same = std::find_if(classes.begin(), classes.end(),
-                             [&](const MeanFieldClass& c) {
-                               return c.service_ms == cls.service_ms &&
-                                      c.dynamic_watts == cls.dynamic_watts &&
-                                      c.accuracy == cls.accuracy;
-                             });
-    if (same != classes.end()) {
-      ++same->count;
-    } else {
-      classes.push_back(cls);
-    }
-  }
-  // The simulator's dispatch order: highest accuracy first, fastest first
-  // among equals — the greedy cascade must fill classes in this order.
-  std::sort(classes.begin(), classes.end(),
-            [](const MeanFieldClass& a, const MeanFieldClass& b) {
-              if (a.accuracy != b.accuracy) return a.accuracy > b.accuracy;
-              return a.service_ms < b.service_ms;
-            });
-  return classes;
+ServerClasses CollapseDeployment(const serving::Deployment& deployment,
+                                 const models::ModelZoo& zoo) {
+  std::vector<InstanceGroup> instances;
+  for (const serving::InstanceSpec& spec : deployment.Instances())
+    instances.push_back({spec.variant_ordinal, spec.slice, 1});
+  return CollapseClasses(zoo.ForApplication(deployment.app), instances);
 }
 
 }  // namespace
@@ -53,13 +23,13 @@ MeanFieldSim::MeanFieldSim(const serving::Deployment& initial,
                            const models::ModelZoo& zoo,
                            const carbon::CarbonTrace* trace,
                            const SimOptions& options)
-    : classes_(CollapseDeployment(initial, zoo)),
+    : fleet_(CollapseDeployment(initial, zoo)),
+      window_split_(fleet_.classes.size()),
       num_gpus_(initial.NumGpus()),
       trace_(trace),
       options_(options),
       accountant_(options.pue) {
   CLOVER_CHECK(trace_ != nullptr);
-  CLOVER_CHECK_MSG(!classes_.empty(), "mean-field sim needs >= 1 class");
   CLOVER_CHECK(num_gpus_ > 0);
   CLOVER_CHECK(options_.window_seconds > 0.0);
   CLOVER_CHECK(options_.arrival_rate_qps >= 0.0);
@@ -67,12 +37,6 @@ MeanFieldSim::MeanFieldSim(const serving::Deployment& initial,
                    "the mean-field tier does not model faults");
   CLOVER_CHECK_MSG(!options_.burst.enabled(),
                    "the mean-field tier does not model bursts");
-  for (const MeanFieldClass& cls : classes_) {
-    CLOVER_CHECK(cls.count > 0 && cls.service_ms > 0.0);
-    total_rate_qps_ +=
-        static_cast<double>(cls.count) / MsToSeconds(cls.service_ms);
-    total_instances_ += cls.count;
-  }
   rate_qps_ = options_.arrival_rate_qps;
 }
 
@@ -109,7 +73,7 @@ void MeanFieldSim::Integrate(double end) {
   // the simulator's dispatch order fills instances.
   double remaining = backlog_ + arriving;
   const double backlog_before = backlog_;
-  for (const MeanFieldClass& cls : classes_) {
+  for (const ServerClass& cls : fleet_.classes) {
     const double capacity =
         static_cast<double>(cls.count) / MsToSeconds(cls.service_ms) * dt;
     const double serve = std::min(remaining, capacity);
@@ -160,84 +124,43 @@ void MeanFieldSim::CloseWindow() {
   record.carbon_g = accountant_.AccountEnergy(record.ci, record.energy_j);
   total_carbon_g_ += record.carbon_g;
 
-  // Window latency from the aggregate M/M/c at the window's mean offered
-  // rate, using the same recipes as opt/surrogate.h; overloaded windows get
-  // a fluid backlog-drain wait instead (the queue is a mass, not a sample).
+  // Window latency from the queueing recipe (sim/queueing.h) at the
+  // window's mean offered rate; overloaded windows get a fluid backlog-
+  // drain wait instead (the queue is a mass, not a sample).
   const double lambda = window_arrival_mass_ / window_s;
-  const double mu_eff =
-      total_rate_qps_ / static_cast<double>(total_instances_);
-  double mean_service_ms = 0.0;  // load-weighted over the cascade's split
-  double p95_service_ms = 0.0;
-  if (window_served_ > 0.0) {
-    // Re-run the cascade proportions on the window's served mass: classes
-    // fill in order, so the load split is the prefix that fits.
-    double remaining = window_served_;
-    double weighted = 0.0;
-    double cumulative = 0.0;
-    const double target = 0.95 * window_served_;
-    bool tail_set = false;
-    for (const MeanFieldClass& cls : classes_) {
-      const double capacity = static_cast<double>(cls.count) /
-                              MsToSeconds(cls.service_ms) * window_s;
-      const double share = std::min(remaining, capacity);
-      remaining -= share;
-      weighted += share * cls.service_ms;
-      cumulative += share;
-      if (!tail_set && cumulative >= target) {
-        p95_service_ms = cls.service_ms;
-        tail_set = true;
-      }
-      if (remaining <= 0.0) break;
-    }
-    if (!tail_set) p95_service_ms = classes_.back().service_ms;
-    mean_service_ms = weighted / window_served_;
-  }
-
   const bool overloaded =
       backlog_ > 1e-9 * std::max(1.0, window_arrival_mass_) ||
-      lambda >= 0.999 * total_rate_qps_;
+      lambda >= 0.999 * fleet_.capacity_qps;
   if (window_served_ <= 0.0) {
     record.mean_ms = 0.0;
     record.p95_ms = 0.0;
-  } else if (overloaded) {
-    // Fluid overload: waits are backlog drains at full capacity. The mean
-    // wait uses the window-average backlog, the tail the edge backlog.
-    const double mean_wait_s =
-        window_backlog_integral_ / window_s / total_rate_qps_;
-    const double tail_wait_s = backlog_ / total_rate_qps_;
-    record.mean_ms = mean_service_ms + SecondsToMs(mean_wait_s);
-    record.p95_ms = p95_service_ms + SecondsToMs(tail_wait_s);
   } else {
-    analytic::MmcConfig mmc;
-    mmc.arrival_rate = std::max(lambda, 1e-12);
-    mmc.service_rate = mu_eff;
-    mmc.servers = total_instances_;
-    const bool exponential =
-        options_.service_model == ServiceModel::kExponential;
-    if (mmc.arrival_rate != mmc_memo_.arrival_rate) {
-      const analytic::MmcMetrics metrics = analytic::AnalyzeMmc(mmc);
-      mmc_memo_.p95_s =
-          exponential ? analytic::MmcSojournQuantile(mmc, metrics, 0.95)
-                      : analytic::MmcWaitQuantile(mmc, metrics, 0.95);
-      mmc_memo_.metrics = metrics;
-      mmc_memo_.arrival_rate = mmc.arrival_rate;
-      ++mmc_evaluations_;
-    }
-    const analytic::MmcMetrics& metrics = mmc_memo_.metrics;
-    if (exponential) {
-      record.mean_ms = SecondsToMs(metrics.mean_sojourn_s);
-      record.p95_ms = SecondsToMs(mmc_memo_.p95_s);
+    // The cascade split of the window's served mass: classes fill in
+    // order, so the load split is the prefix that fits.
+    const LoadSplit split =
+        SplitLoad(fleet_, window_served_, window_s, window_split_.data());
+    if (overloaded) {
+      // Fluid overload: waits are backlog drains at full capacity. The
+      // mean wait uses the window-average backlog, the tail the edge
+      // backlog.
+      const double mean_wait_s =
+          window_backlog_integral_ / window_s / fleet_.capacity_qps;
+      const double tail_wait_s = backlog_ / fleet_.capacity_qps;
+      record.mean_ms = split.mean_service_ms + SecondsToMs(mean_wait_s);
+      record.p95_ms = split.p95_service_ms + SecondsToMs(tail_wait_s);
     } else {
-      // Near-deterministic service (opt/surrogate.h recipe): service p95
-      // with truncated-Gaussian jitter headroom plus the M/M/c wait
-      // quantile scaled by the M/G/c two-moment correction.
-      const double sigma = options_.service_jitter_sigma;
-      const double jitter_headroom = 1.0 + 1.64 * sigma;
-      const double wait_scale = 0.5 * (1.0 + sigma * sigma);
-      record.mean_ms =
-          mean_service_ms + SecondsToMs(metrics.mean_wait_s * wait_scale);
-      record.p95_ms = p95_service_ms * jitter_headroom +
-                      SecondsToMs(mmc_memo_.p95_s * wait_scale);
+      const double arrival_rate = std::max(lambda, 1e-12);
+      if (arrival_rate != memo_arrival_rate_) {
+        memo_tail_ =
+            AnalyzeTail(fleet_.Mmc(arrival_rate), options_.service_model);
+        memo_arrival_rate_ = arrival_rate;
+        ++mmc_evaluations_;
+      }
+      const Latency latency = ComposeLatency(
+          split, memo_tail_, options_.service_model,
+          options_.service_jitter_sigma);
+      record.mean_ms = latency.mean_ms;
+      record.p95_ms = latency.p95_ms;
     }
   }
   // The fluid tier has no per-request samples, so the window max is the

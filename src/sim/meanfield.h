@@ -18,8 +18,8 @@
 //                            fleet::RunFleet).
 //
 // The fluid model collapses a Deployment into server classes — distinct
-// (service time, dynamic watts, accuracy) triples with a multiplicity —
-// and per control window advances:
+// (service time, dynamic watts, accuracy) triples with a multiplicity,
+// sim/queueing.h — and per control window advances:
 //
 //   offered  = rate * dt + backlog                       (mass, requests)
 //   serve_i  = min(remaining, count_i * dt / service_i)  (accuracy-greedy
@@ -29,19 +29,20 @@
 //
 // and reports the same WindowRecord series as ClusterSim: counters are the
 // integerized mass deltas, energy/carbon go through the identical
-// CarbonAccountant, and window latencies come from the aggregate M/M/c
-// oracles in sim/analytic.h using the same recipes as opt/surrogate.h
-// (exact sojourn quantile for exponential service, the M/G/c two-moment
-// correction for jittered service) plus a backlog-drain term when the
-// window is overloaded. tests/meanfield_test.cc bounds the error against
-// the discrete-event tier over the differential (c, rho) grid.
+// CarbonAccountant, and window latencies come from the queueing recipe the
+// surrogate screen (opt/surrogate.h) also calls (sim/queueing.h: the
+// cascade's service mix at the window's served mass, the aggregate M/M/c
+// at its mean offered rate), or from a backlog-drain term when the window
+// is overloaded. tests/meanfield_test.cc bounds the error against the
+// discrete-event tier over the differential (c, rho) grid.
 //
 // The M/M/c terms depend on the window's mean offered rate alone (mu, c
 // and the jitter sigma are fixed for the simulator's life), so a one-entry
 // memo keyed on that exact rate reuses them: a fleet region the router
 // holds at one rate — every region under the static and least-loaded
 // splits — evaluates Erlang C once, not once per window. A miss runs it
-// once, the metrics feeding the quantile.
+// once, the metrics feeding the quantile. A window close allocates
+// nothing: the class split lands in storage sized at construction.
 //
 // What this tier does NOT model: per-request jitter (latency quantiles are
 // analytic, not sampled — max_ms is reported as p95), reconfiguration
@@ -57,25 +58,16 @@
 #include "common/quantile.h"
 #include "models/zoo.h"
 #include "serving/deployment.h"
-#include "sim/analytic.h"
 #include "sim/cluster_sim.h"
 #include "sim/metrics.h"
+#include "sim/queueing.h"
 
 namespace clover::sim {
 
-// One aggregate server class: `count` identical instances.
-struct MeanFieldClass {
-  double service_ms = 0.0;
-  double dynamic_watts = 0.0;
-  double accuracy = 0.0;
-  int count = 0;
-};
-
 class MeanFieldSim {
  public:
-  // Collapses `initial` into server classes (sorted accuracy-desc then
-  // latency-asc — the simulator's dispatch order) and starts the fluid
-  // clock at 0. `trace` must outlive the simulator. Faults and bursts in
+  // Collapses `initial` into server classes (sim/queueing.h) and starts the
+  // fluid clock at 0. `trace` must outlive the simulator. Faults and bursts in
   // `options` are rejected (CheckError) — the fluid tier does not model
   // them.
   MeanFieldSim(const serving::Deployment& initial, const models::ModelZoo& zoo,
@@ -93,7 +85,7 @@ class MeanFieldSim {
   int num_gpus() const { return num_gpus_; }
   double arrival_rate_qps() const { return rate_qps_; }
   // Aggregate service capacity of the collapsed classes, requests/second.
-  double capacity_qps() const { return total_rate_qps_; }
+  double capacity_qps() const { return fleet_.capacity_qps; }
   // Un-served request mass carried into the next instant (the fluid
   // analogue of ClusterSim::queue_depth()).
   double backlog() const { return backlog_; }
@@ -137,14 +129,13 @@ class MeanFieldSim {
   void Integrate(double end);
   void CloseWindow();
 
-  std::vector<MeanFieldClass> classes_;
+  ServerClasses fleet_;
+  std::vector<double> window_split_;  // per-class served mass, CloseWindow
   int num_gpus_ = 0;
   const carbon::CarbonTrace* trace_ = nullptr;
   SimOptions options_;
   carbon::CarbonAccountant accountant_;
 
-  double total_rate_qps_ = 0.0;   // sum_i count_i / service_s_i
-  int total_instances_ = 0;
   double rate_qps_ = 0.0;
 
   double now_ = 0.0;
@@ -171,12 +162,8 @@ class MeanFieldSim {
   double total_carbon_g_ = 0.0;
 
   // The last evaluated M/M/c terms, keyed on the exact arrival rate.
-  struct MmcMemo {
-    double arrival_rate = -1.0;  // none yet (real rates are > 0)
-    analytic::MmcMetrics metrics;
-    double p95_s = 0.0;  // sojourn (exponential) or wait (jittered) p95
-  };
-  MmcMemo mmc_memo_;
+  double memo_arrival_rate_ = -1.0;  // none yet (real rates are > 0)
+  MmcTail memo_tail_;
   std::uint64_t mmc_evaluations_ = 0;
 
   std::uint64_t steps_ = 0;

@@ -27,7 +27,7 @@ TEST(Oracle, ProfilesStandardizedSpace) {
   const double rate = sim::SizeArrivalRate(
       DefaultZoo(), Application::kClassification, 4, 0.75);
   Oracle oracle(&DefaultZoo(), Application::kClassification, 4, rate, 7);
-  oracle.Profile(/*warmup_s=*/10.0, /*measure_s=*/20.0);
+  oracle.Profile();
   // Space: per layout, a variant per distinct slice type; deduped. With 4
   // variants and <=3 types per layout this is dozens-to-hundreds.
   EXPECT_GE(oracle.entries().size(), 30u);
@@ -39,7 +39,7 @@ TEST(Oracle, SelectionRespectsSlaAndFlipsWithIntensity) {
   const double rate = sim::SizeArrivalRate(
       DefaultZoo(), Application::kClassification, 4, 0.75);
   Oracle oracle(&DefaultZoo(), Application::kClassification, 4, rate, 7);
-  oracle.Profile(10.0, 20.0);
+  oracle.Profile();
 
   // Build params from the profiled BASE entry.
   graph::ConfigGraph base_graph(Application::kClassification, 4);

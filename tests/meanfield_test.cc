@@ -288,6 +288,44 @@ TEST(MeanFieldSimTest, AgreesWithSurrogateAtSteadyState) {
   EXPECT_LT(energy_per_request_j, 10.0 * steady.metrics.energy_per_request_j);
 }
 
+// On a mixed deployment the two analytic tiers quote one tail (they call
+// one recipe, sim/queueing.h) and neither reads below the simulator. Three
+// fast small-ALBERT instances and one slow largest-ALBERT instance, all on
+// [7g]: accuracy-greedy dispatch gives the slow class about a fifth of the
+// load, so the service p95 is its latency — a dispatch-order walk would
+// stop at the fast class and quote half the simulated tail.
+TEST(MeanFieldSimTest, MixedDeploymentTailMatchesSurrogateAndSimulatorBound) {
+  const models::ModelZoo& zoo = models::DefaultZoo();
+  const models::Application app = models::Application::kLanguage;
+  const int num_gpus = 4;
+  serving::Deployment mixed = serving::MakeBase(app, num_gpus);
+  for (int g = 1; g < num_gpus; ++g) mixed.gpus[g].variant_ordinals = {0};
+
+  SimOptions options;  // jittered service
+  options.window_seconds = 300.0;
+  options.seed = 11;
+  MeanFieldSim fluid(mixed, zoo, &FlatTrace(), options);
+  options.arrival_rate_qps = 0.5 * fluid.capacity_qps();
+  fluid.SetArrivalRate(options.arrival_rate_qps);
+  fluid.AdvanceTo(options.window_seconds);
+  ASSERT_EQ(fluid.windows().size(), 1u);
+  const double fluid_p95 = fluid.windows().front().p95_ms;
+
+  opt::SurrogateEvaluator::Options surrogate_options;
+  surrogate_options.arrival_rate_qps = options.arrival_rate_qps;
+  opt::SurrogateEvaluator surrogate(&zoo, num_gpus, surrogate_options);
+  const double surrogate_p95 =
+      surrogate.Evaluate(graph::ConfigGraph::FromDeployment(mixed, zoo))
+          .metrics.p95_ms;
+  EXPECT_NEAR(fluid_p95, surrogate_p95, 1e-9 * surrogate_p95);
+
+  ClusterSim sim(mixed, zoo, &FlatTrace(), options);
+  sim.AdvanceTo(300.0);
+  const double sim_p95 = sim.Measure(3600.0).p95_ms;
+  EXPECT_GE(fluid_p95, sim_p95) << "fluid p95 " << fluid_p95
+                                << " ms vs simulated " << sim_p95 << " ms";
+}
+
 // Seeded property: whatever rate schedule the router throws at the fluid
 // region — including overload and idle stretches — the aggregate state
 // stays finite and non-negative, and no window goes NaN.

@@ -71,7 +71,7 @@ TEST(Objective, Fig6PreferenceFlipsWithIntensity) {
   // The figure's point: A wins at ci=500, B wins at ci=100. (Note the
   // paper's printed objective for B at ci=500 is 3.2; Eq. 3 actually gives
   // 0.1*40 + 0.9*(-2) = 2.2 — a typo in the figure; the preference order
-  // is unaffected. Recorded in EXPERIMENTS.md.)
+  // is unaffected. Recorded in docs/EXPERIMENTS.md.)
   const EvalMetrics a = Fig6Metrics(0.4, 96.0);
   const EvalMetrics b = Fig6Metrics(1.2, 98.0);
   const ObjectiveParams params = Fig6Params();
@@ -170,6 +170,50 @@ TEST(CachingEvaluator, SecondLookupIsFree) {
   EXPECT_DOUBLE_EQ(second.metrics.accuracy, first.metrics.accuracy);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
+}
+
+// A replay evaluator calibrated against BASE (the recipe bench_runner's
+// opt_screened row uses).
+constexpr int kGpus = 2;
+
+struct ReplayContext {
+  const models::ModelZoo* zoo;
+  carbon::CarbonTrace trace;
+  ReplayEvaluator::Options replay;
+  ObjectiveParams params;
+  graph::ConfigGraph start;
+
+  ReplayContext()
+      : zoo(&DefaultZoo()),
+        trace("flat", 3600.0, std::vector<double>(4, 250.0)),
+        start(Application::kClassification, kGpus) {
+    replay.arrival_rate_qps = sim::SizeArrivalRate(
+        *zoo, Application::kClassification, kGpus);
+    replay.settle_s = 1.0;
+    replay.measure_window_s = 3.0;
+    replay.seed = 17;
+    start = graph::ConfigGraph::FromDeployment(
+        serving::MakeBase(Application::kClassification, kGpus), *zoo);
+    replay = ReplayEvaluator::CalibrateAgainst(zoo, &trace, kGpus, start,
+                                               replay, 250.0, &params);
+  }
+};
+
+TEST(ReplayEvaluator, IsPure) {
+  const ReplayContext context;
+  ReplayEvaluator a(context.zoo, &context.trace, kGpus, context.replay);
+  ReplayEvaluator b(context.zoo, &context.trace, kGpus, context.replay);
+  const EvalOutcome first = a.Evaluate(context.start);
+  const EvalOutcome again = a.Evaluate(context.start);   // same instance
+  const EvalOutcome other = b.Evaluate(context.start);   // fresh instance
+  EXPECT_EQ(first.metrics.p95_ms, again.metrics.p95_ms);
+  EXPECT_EQ(first.metrics.accuracy, again.metrics.accuracy);
+  EXPECT_EQ(first.metrics.energy_per_request_j,
+            again.metrics.energy_per_request_j);
+  EXPECT_EQ(first.metrics.p95_ms, other.metrics.p95_ms);
+  EXPECT_EQ(first.metrics.accuracy, other.metrics.accuracy);
+  EXPECT_EQ(first.metrics.energy_per_request_j,
+            other.metrics.energy_per_request_j);
 }
 
 // The closed-form surrogate at a fixed offered rate: zero evaluation cost

@@ -14,11 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/units.h"
 #include "graph/config_graph.h"
 #include "models/zoo.h"
@@ -164,7 +162,7 @@ TEST(ScreenCandidatesTest, PrefersSlaCompliantAndKeepsSamplingOrder) {
   EXPECT_EQ(ScreenCandidates(&surrogate, pool, params, 250.0, 2), survivors);
 }
 
-// Replay-evaluator search context (the opt_parallel_test.cc recipe).
+// Replay-evaluator search context (the bench_runner opt_screened recipe).
 struct ScreenContext {
   const models::ModelZoo* zoo;
   carbon::CarbonTrace trace;
@@ -190,8 +188,7 @@ struct ScreenContext {
                                                replay, kCi, &params);
   }
 
-  SearchResult RunScreened(int screen_factor, int threads,
-                           bool install_surrogate = true) {
+  SearchResult RunScreened(int screen_factor, bool install_surrogate = true) {
     ReplayEvaluator evaluator(zoo, &trace, kGpus, replay);
     graph::GraphMapper mapper(zoo, kGpus);
     SurrogateEvaluator surrogate(
@@ -202,36 +199,27 @@ struct ScreenContext {
     options.max_evaluations = 24;
     options.no_improve_limit = 1 << 30;
     options.time_budget_s = 1e12;
-    options.batch_size = 8;
     options.screen_factor = screen_factor;
     RandomSearch search(&evaluator, &mapper, options, kSeed);
     if (install_surrogate) search.SetSurrogate(&surrogate);
-
-    ThreadPool pool(threads);
-    std::vector<std::unique_ptr<Evaluator>> replicas;
-    for (int i = 0; i < threads; ++i)
-      replicas.push_back(
-          std::make_unique<ReplayEvaluator>(zoo, &trace, kGpus, replay));
-    ParallelBatchEvaluator batch(&pool, std::move(replicas));
-    search.SetBatchEvaluator(&batch);
     return search.Run(start, params, kCi);
   }
 };
 
-TEST(ScreenedSearchTest, DeterministicAcrossThreadCounts) {
+TEST(ScreenedSearchTest, SameSeedRunsAreBitIdentical) {
   ScreenContext context;
-  const SearchResult serial = context.RunScreened(/*screen_factor=*/4, 1);
-  const SearchResult parallel = context.RunScreened(/*screen_factor=*/4, 2);
-  EXPECT_TRUE(SearchResultsBitIdentical(serial, parallel));
-  EXPECT_GT(serial.screened, 0);
+  const SearchResult first = context.RunScreened(/*screen_factor=*/4);
+  const SearchResult twin = context.RunScreened(/*screen_factor=*/4);
+  EXPECT_TRUE(SearchResultsBitIdentical(first, twin));
+  EXPECT_GT(first.screened, 0);
 }
 
 TEST(ScreenedSearchTest, ScreenedCountMatchesTheOversampling) {
-  // Every proposal round draws screen_factor x round candidates and keeps
-  // round of them, so the discard count is exactly (factor - 1) x the
-  // number of non-seed evaluations.
+  // Every round draws screen_factor candidates and keeps one, so the
+  // discard count is exactly (factor - 1) x the number of non-seed
+  // evaluations.
   ScreenContext context;
-  const SearchResult result = context.RunScreened(/*screen_factor=*/4, 1);
+  const SearchResult result = context.RunScreened(/*screen_factor=*/4);
   const int simulated = static_cast<int>(result.evaluations.size()) - 1;
   EXPECT_EQ(result.screened, 3 * simulated);
 }
@@ -240,9 +228,9 @@ TEST(ScreenedSearchTest, FactorOneMatchesTheUnscreenedSearch) {
   // screen_factor = 1 with a surrogate installed must be a no-op: same
   // samples, same evaluations, same best, zero screened.
   ScreenContext context;
-  const SearchResult screened = context.RunScreened(/*screen_factor=*/1, 1);
+  const SearchResult screened = context.RunScreened(/*screen_factor=*/1);
   const SearchResult plain =
-      context.RunScreened(/*screen_factor=*/1, 1, /*install_surrogate=*/false);
+      context.RunScreened(/*screen_factor=*/1, /*install_surrogate=*/false);
   EXPECT_TRUE(SearchResultsBitIdentical(screened, plain));
   EXPECT_EQ(screened.screened, 0);
 }
@@ -251,7 +239,7 @@ TEST(ScreenedSearchTest, BestOutcomeComesFromTheSimulationTier) {
   // The surrogate only ranks; the winner's metrics must be one of the
   // recorded (simulated) evaluations, bit for bit.
   ScreenContext context;
-  const SearchResult result = context.RunScreened(/*screen_factor=*/4, 1);
+  const SearchResult result = context.RunScreened(/*screen_factor=*/4);
   bool found = false;
   for (const EvalRecord& record : result.evaluations) {
     if (record.f == result.best_f &&
