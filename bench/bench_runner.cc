@@ -43,9 +43,11 @@
 //   meanfield_fleet  the fluid fidelity tier at planet scale: the four
 //                    region presets tiled into a replica fleet (100
 //                    regions smoke / 1000 full) under carbon-greedy
-//                    routing via fleet::RunFleetMeanField; reports
-//                    regions/sec in the notes and replays a twin to
-//                    enforce the tier's bit-identity contract
+//                    routing via fleet::RunFleetMeanField, stepped across
+//                    --threads; reports regions/sec at --threads and at 1
+//                    thread in the notes, and the 1-thread twin must be
+//                    bit-identical (the per-slot M/M/c caches change only
+//                    time)
 //   live_serving     the epoll serving front-end end to end: replays the
 //                    trace-derived schedule over loopback TCP in flood
 //                    mode (core/live_service.h); reports wire req/s and
@@ -491,7 +493,8 @@ exp::ScenarioTiming RunFleetRouting(const RunnerFlags& flags,
 // ---------------------------------------------------------------------------
 // Builds the cell through exp::MakeFleetCellConfig — the exact path the
 // nightly 1000-region campaign (campaigns/fleet_1000region_toy.json) takes
-// — so the bench measures what the campaign pays, replica tiling included.
+// — so the bench measures what the campaign pays, replica tiling included;
+// only the thread count differs (campaign cells step regions on 1 thread).
 exp::ScenarioTiming RunMeanFieldFleet(const RunnerFlags& flags,
                                       const SuiteScale& scale) {
   exp::CellSpec cell;
@@ -505,15 +508,20 @@ exp::ScenarioTiming RunMeanFieldFleet(const RunnerFlags& flags,
   cell.gpus = scale.fleet_gpus;
   cell.hours = scale.fleet_hours;
   cell.seed = flags.seed;
-  const fleet::FleetConfig config = exp::MakeFleetCellConfig(cell);
+  fleet::FleetConfig config = exp::MakeFleetCellConfig(cell);
   const models::ModelZoo& zoo = models::DefaultZoo();
 
+  config.threads = flags.threads;
   WallTimer timer;
   const fleet::FleetReport run = fleet::RunFleetMeanField(config, zoo);
   const double wall = timer.Seconds();
-  // The fluid tier is RNG-free past trace generation, so a twin run must
-  // reproduce the report bit for bit — same gate the unit test pins.
+  // The thread count decides which fan-out slot (and which slot's tail
+  // cache) steps a region, never what it computes: the 1-thread twin must
+  // reproduce the report bit for bit — the same gate the unit test pins.
+  config.threads = 1;
+  WallTimer serial_timer;
   const fleet::FleetReport twin = fleet::RunFleetMeanField(config, zoo);
+  const double serial_wall = serial_timer.Seconds();
 
   exp::ScenarioTiming timing;
   timing.name = "meanfield_fleet";
@@ -524,15 +532,19 @@ exp::ScenarioTiming RunMeanFieldFleet(const RunnerFlags& flags,
   timing.sim_p50_ms = run.fleet.overall_p50_ms;
   timing.sim_p99_ms = run.fleet.overall_p99_ms;
   timing.deterministic = fleet::FleetReportsBitIdentical(run, twin);
-  const double regions_per_sec =
-      wall > 0.0 ? static_cast<double>(run.regions.size()) / wall : 0.0;
+  const auto regions_per_sec = [&](double seconds) {
+    return seconds > 0.0 ? static_cast<double>(run.regions.size()) / seconds
+                         : 0.0;
+  };
   timing.notes = std::to_string(run.regions.size()) +
                  " fluid regions (4 presets x " +
                  std::to_string(scale.mf_replicas) + "), carbon-greedy, " +
                  TextTable::Num(scale.fleet_hours, 1) + " h; " +
-                 TextTable::Num(regions_per_sec, 1) + " regions/s, served " +
-                 std::to_string(run.fleet.completions) + " of " +
-                 std::to_string(run.fleet.arrivals);
+                 TextTable::Num(regions_per_sec(wall), 1) + " regions/s at " +
+                 std::to_string(flags.threads) + " threads, " +
+                 TextTable::Num(regions_per_sec(serial_wall), 1) +
+                 " at 1; served " + std::to_string(run.fleet.completions) +
+                 " of " + std::to_string(run.fleet.arrivals);
   return timing;
 }
 

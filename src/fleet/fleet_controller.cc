@@ -9,17 +9,18 @@
 namespace clover::fleet {
 
 FleetController::FleetController(
-    std::vector<std::unique_ptr<Region>>* regions,
+    std::vector<std::unique_ptr<Region>>* regions, WindowFold* fold,
     const models::ModelZoo* zoo, Router* router,
     const opt::ObjectiveParams& params, double total_qps,
     const FleetControllerOptions& options)
     : regions_(regions),
+      fold_(fold),
       zoo_(zoo),
       router_(router),
       options_(options),
       total_qps_(total_qps) {
   CLOVER_CHECK(regions_ != nullptr && !regions_->empty());
-  CLOVER_CHECK(zoo_ != nullptr && router_ != nullptr);
+  CLOVER_CHECK(fold_ != nullptr && zoo_ != nullptr && router_ != nullptr);
   CLOVER_CHECK(total_qps_ > 0.0);
   CLOVER_CHECK(options_.threads >= 1);
 
@@ -39,42 +40,67 @@ FleetController::FleetController(
   }
   if (options_.threads > 1 && regions_->size() > 1)
     pool_ = std::make_unique<ThreadPool>(options_.threads);
+  lanes_.resize(pool_ != nullptr ? static_cast<std::size_t>(
+                                       pool_->num_threads())
+                                 : 1);
 
   snapshots_.reserve(regions_->size());
   for (const auto& region : *regions_)
     snapshots_.push_back(region->Snapshot(0.0));
+  rates_.resize(regions_->size());
   Rebalance();
+  for (std::size_t i = 0; i < regions_->size(); ++i)
+    (*regions_)[i]->SetAssignedRate(rates_[i]);
+  rates_pending_ = false;
 }
 
 void FleetController::Step(double t) {
   CLOVER_OBS_COUNT("fleet.steps", 1);
-  auto step_region = [&](std::size_t i) {
+  StepRegions(t, /*control=*/true);
+  Rebalance();
+  // The barrier is the fleet's deterministic point, so fold the metric
+  // registry here.
+  CLOVER_OBS_SAMPLE(t);
+}
+
+void FleetController::Finish(double end) {
+  StepRegions(end, /*control=*/false);
+}
+
+void FleetController::StepRegions(double t, bool control) {
+  auto step_region = [&](int slot, std::size_t i) {
     Region& region = *(*regions_)[i];
-    if (t > region.now()) region.AdvanceTo(t);
-    // Offline regions — and online regions the router currently starves
-    // (weight 0) — keep draining but do not optimize: an invocation against
-    // a silenced stream measures zero completions for every candidate and
-    // would poison the graph-keyed evaluation cache with sla_ok=false
-    // entries that outlive the lull.
-    if (!controllers_.empty() && region.OnlineAt(t) &&
-        region.assigned_qps() > 0.0)
-      controllers_[i]->Step();
-    snapshots_[i] = region.Snapshot(t);
+    Lane& lane = lanes_[static_cast<std::size_t>(slot)];
+    if (rates_pending_) region.SetAssignedRate(rates_[i]);
+    if (t > region.now()) region.AdvanceTo(t, &lane.tails);
+    if (control) {
+      // Offline regions — and online regions the router currently starves
+      // (weight 0) — keep draining but do not optimize: an invocation
+      // against a silenced stream measures zero completions for every
+      // candidate and would poison the graph-keyed evaluation cache with
+      // sla_ok=false entries that outlive the lull.
+      if (!controllers_.empty() && region.OnlineAt(t) &&
+          region.assigned_qps() > 0.0)
+        controllers_[i]->Step();
+      snapshots_[i] = region.Snapshot(t);
+    }
+    lane.closed.clear();
+    region.TakeClosedWindows(&lane.closed);
+    for (const sim::WindowRecord& window : lane.closed)
+      fold_->Push(i, window, region.LatencyPenaltyAt(window.start_s));
   };
   {
     // Phase 1: regions advance independently (possibly in parallel).
     CLOVER_TRACE_SCOPE("fleet.step_regions");
     if (pool_ != nullptr) {
-      pool_->ParallelFor(regions_->size(),
-                         [&](int, std::size_t i) { step_region(i); });
+      pool_->ParallelFor(regions_->size(), step_region);
     } else {
-      for (std::size_t i = 0; i < regions_->size(); ++i) step_region(i);
+      for (std::size_t i = 0; i < regions_->size(); ++i) step_region(0, i);
     }
+    rates_pending_ = false;
   }
-  // Phase 2 (serial fold) — also the fleet's deterministic barrier, so
-  // fold the metric registry here.
-  Rebalance();
-  CLOVER_OBS_SAMPLE(t);
+  CLOVER_TRACE_SCOPE("fleet.fold");
+  fold_->FoldReady();
 }
 
 void FleetController::Rebalance() {
@@ -86,8 +112,9 @@ void FleetController::Rebalance() {
                                       << regions_->size() << " regions");
   for (std::size_t i = 0; i < regions_->size(); ++i) {
     CLOVER_CHECK_MSG(weights[i] >= 0.0, "negative routing weight");
-    (*regions_)[i]->SetAssignedRate(weights[i] * total_qps_);
+    rates_[i] = weights[i] * total_qps_;
   }
+  rates_pending_ = true;
   weight_history_.push_back(std::move(weights));
 }
 

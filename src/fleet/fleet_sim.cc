@@ -157,51 +157,29 @@ FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
         config.slo_budget_factor * params.l_tail_ms;
   controller_options.threads = config.threads;
   controller_options.seed = config.seed;
-  FleetController fleet_controller(&regions, &zoo, router.get(), params,
-                                   total_qps, controller_options);
+
+  // Control loop: one fleet step per boundary; each region may overrun the
+  // boundary while optimizing (simulated time spent on evaluations), so
+  // steps only advance regions that are behind the target. Each region's
+  // step ends by handing the windows it closed to the fold, which adds
+  // them to the region's objective series and folds a window index once
+  // every region has closed it.
+  const double duration_s = HoursToSeconds(config.duration_hours);
+  const std::vector<double> boundaries =
+      core::ControlBoundaries(config.control_interval_s, duration_s);
+  WindowFold fold(regions.size(), params, calibration.energy_per_request_j,
+                  controller_options.router.slo_budget_ms, boundaries.size());
+  FleetController fleet_controller(&regions, &fold, &zoo, router.get(),
+                                   params, total_qps, controller_options);
+  for (const double t : boundaries)
+    fleet_controller.Step(std::min(t, duration_s));
+  fleet_controller.Finish(duration_s);
 
   FleetReport fleet_report;
   fleet_report.router_name = router->name();
   fleet_report.total_qps = total_qps;
   fleet_report.slo_budget_ms = controller_options.router.slo_budget_ms;
   fleet_report.regions.resize(regions.size());
-
-  // Control loop: one fleet step per boundary; each region may overrun the
-  // boundary while optimizing (simulated time spent on evaluations), so
-  // steps only advance regions that are behind the target. At each
-  // barrier the regions hand over the windows they closed; each window adds
-  // an entry to its region's objective series and joins the fleet fold,
-  // which folds a window index once every region has closed it.
-  const double duration_s = HoursToSeconds(config.duration_hours);
-  const std::vector<double> boundaries =
-      core::ControlBoundaries(config.control_interval_s, duration_s);
-  for (RegionReport& region_report : fleet_report.regions)
-    region_report.report.objective_series.reserve(boundaries.size());
-  WindowFold fold(regions.size(), params, calibration.energy_per_request_j,
-                  fleet_report.slo_budget_ms);
-  std::vector<sim::WindowRecord> closed;  // one region's hand-off
-  const auto fold_closed_windows = [&] {
-    CLOVER_TRACE_SCOPE("fleet.fold");
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-      closed.clear();
-      regions[i]->TakeClosedWindows(&closed);
-      std::vector<double>& objective_series =
-          fleet_report.regions[i].report.objective_series;
-      for (const sim::WindowRecord& window : closed) {
-        objective_series.push_back(core::WindowObjective(
-            window, params, calibration.energy_per_request_j));
-        fold.Push(i, window, regions[i]->LatencyPenaltyAt(window.start_s));
-      }
-    }
-    fold.FoldReady();
-  };
-  for (const double t : boundaries) {
-    fleet_controller.Step(std::min(t, duration_s));
-    fold_closed_windows();
-  }
-  for (auto& region : regions)
-    if (duration_s > region->now()) region->AdvanceTo(duration_s);
-  fold_closed_windows();
 
   // ---- Reports ----
   CLOVER_TRACE_SCOPE("fleet.report");
@@ -227,6 +205,7 @@ FleetReport RunFleetOn(const FleetConfig& config, const models::ModelZoo& zoo,
     report.app = config.app;
     report.scheme = config.scheme;
     report.params = params;
+    report.objective_series = fold.TakeRegionObjectiveSeries(i);
     regions[i]->FillTotals(&report);
     report.arrival_rate_qps = mean_weights[i] * total_qps;
     if (const core::Controller* controller = fleet_controller.controller(i)) {

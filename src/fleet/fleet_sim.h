@@ -5,8 +5,9 @@
 // it calibrates the shared SLA the way the paper does (BASE at the sizing
 // utilization), builds one Region per config entry (each with its own
 // carbon trace from the region preset), drives the control loop — regions
-// stepped in parallel, router rebalanced every control interval, each
-// interval's windows folded at the barrier (fleet/window_fold.h) — and
+// stepped in parallel, each handing its closed windows to the fleet's fold
+// (fleet/window_fold.h), then the fold and the router's rebalance at every
+// control interval's barrier — and
 // aggregates per-region results into a fleet-level core::RunReport whose
 // latency metrics include each region's network penalty. RunFleetMeanField
 // (fleet/meanfield_fleet.h) is the same run over fluid regions.

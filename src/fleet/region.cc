@@ -49,9 +49,11 @@ double Region::now() const {
   return cluster_ ? cluster_->now() : fluid_->now();
 }
 
-void Region::AdvanceTo(double t) {
+void Region::AdvanceTo(double t, sim::MmcTailCache* tails) {
   if (cluster_) {
     cluster_->AdvanceTo(t);
+  } else if (tails != nullptr) {
+    fluid_->AdvanceTo(t, tails);
   } else {
     fluid_->AdvanceTo(t);
   }
@@ -74,8 +76,8 @@ double Region::LatencyPenaltyAt(double t) const {
 RegionSnapshot Region::Snapshot(double t) const {
   RegionSnapshot snapshot;
   snapshot.online = OnlineAt(t);
-  snapshot.ci = trace_.At(t);
   if (cluster_) {
+    snapshot.ci = trace_.At(t);
     // Nominal capacity derated by active GPU fail-stops, so the router
     // reroutes around a partially failed region instead of filling it to a
     // margin its surviving GPUs cannot serve.
@@ -86,6 +88,11 @@ RegionSnapshot Region::Snapshot(double t) const {
         cluster_->OnlineGpuFraction();
     snapshot.queue_depth = static_cast<double>(cluster_->queue_depth());
   } else {
+    // The fleet snapshots at window starts, where the simulator's reading
+    // is the trace's; only a run ending a hair before a boundary (its last
+    // boundary clipped to the end) snapshots inside a window.
+    snapshot.ci = t == fluid_->window_start_s() ? fluid_->window_ci()
+                                                : trace_.At(t);
     // The fluid tier has no fail-stops, and its queue is a backlog mass.
     snapshot.capacity_qps = fluid_->capacity_qps();
     snapshot.queue_depth = fluid_->backlog();

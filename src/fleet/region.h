@@ -81,13 +81,16 @@ class Region {
   }
 
   double now() const;
-  void AdvanceTo(double t);
+  // `tails` (fluid regions only; nullptr = the simulator's own) lends the
+  // cache the window latencies go through (sim::MmcTailCache).
+  void AdvanceTo(double t, sim::MmcTailCache* tails = nullptr);
 
   double assigned_qps() const { return assigned_qps_; }
   // Offers `qps` of the global stream to this region from now() onward.
   void SetAssignedRate(double qps);
 
-  // Router-visible state at control time `t`.
+  // Router-visible state at control time `t`. A fluid region snapshot at
+  // the start of its open window reuses the reading the window took.
   RegionSnapshot Snapshot(double t) const;
 
   // Appends the windows the simulator closed since the last hand-off to

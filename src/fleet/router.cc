@@ -1,6 +1,8 @@
 #include "fleet/router.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "common/check.h"
@@ -54,6 +56,73 @@ double SafeCapacity(const RegionSnapshot& region,
                     const RouterOptions& options) {
   const double margin = std::max(1.0, options.capacity_margin);
   return region.capacity_qps / margin;
+}
+
+// The bits of a non-NaN double, mapped so unsigned order is value order
+// and the two zeros (equal under <) map to one key.
+std::uint64_t OrderedBits(double x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x == 0.0 ? 0.0 : x);
+  return bits >> 63 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+// A carbon-greedy fill-order key: cleanest grid first, ties broken toward
+// the ingress, then by region index.
+struct GreedyKey {
+  std::uint64_t ci;
+  std::uint64_t penalty;
+  std::size_t index;
+};
+
+bool GreedyKeyLess(const GreedyKey& a, const GreedyKey& b) {
+  if (a.ci != b.ci) return a.ci < b.ci;
+  if (a.penalty != b.penalty) return a.penalty < b.penalty;
+  return a.index < b.index;
+}
+
+// Sorts [first, last) by GreedyKeyLess, a total order, so any correct sort
+// returns the same order bit for bit. An MSD bucket pass spreads the keys
+// over about one bucket per key by the leading bits of their own ci range
+// (buckets come out in key order), then sorts each bucket the same way:
+// intensities cluster by grid, so a cluster gets its own pass. Short ranges
+// take an insertion sort, and keys of one ci a comparison sort. `scratch`
+// has room for last - first keys.
+void SortGreedyKeys(GreedyKey* first, GreedyKey* last, GreedyKey* scratch) {
+  const auto n = static_cast<std::size_t>(last - first);
+  if (n <= 32) {
+    for (GreedyKey* it = first + 1; it < last; ++it) {
+      const GreedyKey key = *it;
+      GreedyKey* hole = it;
+      for (; hole > first && GreedyKeyLess(key, hole[-1]); --hole)
+        *hole = hole[-1];
+      *hole = key;
+    }
+    return;
+  }
+  const auto [lo, hi] = std::minmax_element(
+      first, last,
+      [](const GreedyKey& a, const GreedyKey& b) { return a.ci < b.ci; });
+  const std::uint64_t base = lo->ci;
+  const std::uint64_t span = hi->ci - base;
+  if (span == 0) {
+    std::sort(first, last, GreedyKeyLess);
+    return;
+  }
+  const int shift = std::max(0, static_cast<int>(std::bit_width(span)) -
+                                    static_cast<int>(std::bit_width(n)));
+  const auto bucket = [&](const GreedyKey& key) {
+    return static_cast<std::size_t>((key.ci - base) >> shift);
+  };
+  // end[b]: one past bucket b once the scatter below has run.
+  std::vector<std::size_t> end(static_cast<std::size_t>(span >> shift) + 2);
+  for (const GreedyKey* key = first; key < last; ++key) ++end[bucket(*key) + 1];
+  std::partial_sum(end.begin(), end.end(), end.begin());
+  for (const GreedyKey* key = first; key < last; ++key)
+    scratch[end[bucket(*key)]++] = *key;
+  std::copy(scratch, scratch + n, first);
+  std::size_t begin = 0;
+  for (std::size_t b = 0; begin < n; begin = end[b++])
+    if (end[b] - begin > 1)
+      SortGreedyKeys(first + begin, first + end[b], scratch);
 }
 
 }  // namespace
@@ -113,26 +182,18 @@ std::vector<double> CarbonGreedyRouter::Split(
   }
 
   // Cleanest grids first; ties broken toward the ingress, then by index —
-  // a total order, so the split is deterministic. The sort keys sit
-  // contiguously rather than behind an index into the snapshots.
-  struct Key {
-    double ci;
-    double penalty_ms;
-    std::size_t index;
-  };
-  std::vector<Key> order;
+  // a total order, so the split is deterministic.
+  std::vector<GreedyKey> order;
   order.reserve(eligible.size());
   for (std::size_t i : eligible)
-    order.push_back({regions[i].ci, regions[i].latency_penalty_ms, i});
-  std::sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
-    if (a.ci != b.ci) return a.ci < b.ci;
-    if (a.penalty_ms != b.penalty_ms) return a.penalty_ms < b.penalty_ms;
-    return a.index < b.index;
-  });
+    order.push_back({OrderedBits(regions[i].ci),
+                     OrderedBits(regions[i].latency_penalty_ms), i});
+  std::vector<GreedyKey> scratch(order.size());
+  SortGreedyKeys(order.data(), order.data() + order.size(), scratch.data());
 
   std::vector<double> alloc(regions.size(), 0.0);
   double remaining = total_qps;
-  for (const Key& key : order) {
+  for (const GreedyKey& key : order) {
     const std::size_t i = key.index;
     double headroom = 1.0;
     if (options.slo_budget_ms > 0.0)

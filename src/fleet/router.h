@@ -6,10 +6,13 @@
 // load between regions whose intensities are anti-correlated — on top.
 //
 // Policies are pure functions of the per-region snapshots: no hidden state,
-// no clocks, no RNG. Each region writes its own snapshot slot at the end of
-// its (possibly parallel) step; the fleet controller hands the slots to the
-// router in region order and applies the split serially, which is what
-// makes fleet runs bit-identical across thread counts.
+// no clocks, no RNG. Each region writes its own snapshot slot in its
+// (possibly parallel) step; the fleet controller hands the slots to the
+// router in region order on one thread and each region applies its share
+// at the start of its next step, which is what makes fleet runs
+// bit-identical across thread counts. Carbon-greedy's fill order is a
+// total order on (ci, penalty, index), computed by a bucket sort that
+// returns the comparator's order bit for bit (router.cc).
 #pragma once
 
 #include <memory>

@@ -10,29 +10,35 @@ namespace clover::fleet {
 WindowFold::WindowFold(std::size_t regions,
                        const opt::ObjectiveParams& params,
                        double fallback_energy_per_request_j,
-                       double slo_budget_ms)
+                       double slo_budget_ms, std::size_t windows_per_region)
     : params_(params),
       fallback_energy_per_request_j_(fallback_energy_per_request_j),
       slo_budget_ms_(slo_budget_ms),
-      queues_(regions) {
+      regions_(regions) {
   CLOVER_CHECK(regions > 0);
+  for (RegionState& region : regions_)
+    region.objective_series.reserve(windows_per_region);
 }
 
 void WindowFold::Push(std::size_t region, const sim::WindowRecord& window,
                       double penalty_ms) {
-  queues_[region].push_back({window, penalty_ms});
+  RegionState& state = regions_[region];
+  state.objective_series.push_back(core::WindowObjective(
+      window, params_, fallback_energy_per_request_j_));
+  state.queue.push_back({window, penalty_ms});
 }
 
 void WindowFold::FoldReady() {
   std::size_t ready = std::numeric_limits<std::size_t>::max();
-  for (const std::vector<Queued>& queue : queues_)
-    ready = std::min(ready, queue.size());
+  for (const RegionState& region : regions_)
+    ready = std::min(ready, region.queue.size());
   if (ready == 0) return;
   for (std::size_t w = 0; w < ready; ++w) FoldIndex(w);
   // Erasing keeps each queue's storage, so steady state allocates nothing.
-  for (std::vector<Queued>& queue : queues_)
-    queue.erase(queue.begin(),
-                queue.begin() + static_cast<std::ptrdiff_t>(ready));
+  for (RegionState& region : regions_)
+    region.queue.erase(region.queue.begin(),
+                       region.queue.begin() +
+                           static_cast<std::ptrdiff_t>(ready));
 }
 
 namespace {
@@ -86,13 +92,13 @@ void WindowFold::FoldIndex(std::size_t w) {
   sim::WindowRecord window;
   double mean_weighted = 0.0, accuracy_weighted = 0.0, ci_energy = 0.0;
   tail_masses_.clear();
-  for (const std::vector<Queued>& queue : queues_) {
-    const sim::WindowRecord& region_window = queue[w].window;
+  for (const RegionState& region : regions_) {
+    const sim::WindowRecord& region_window = region.queue[w].window;
     // Penalty as of this window's start: an active RTT spike shifts the
     // window's latency contribution (the run-level merged histogram keeps
     // the base penalty — spikes are windowed events, run quantiles are a
     // whole-run summary).
-    const double penalty = queue[w].penalty_ms;
+    const double penalty = region.queue[w].penalty_ms;
     window.start_s = region_window.start_s;
     window.duration_s = region_window.duration_s;
     window.arrivals += region_window.arrivals;

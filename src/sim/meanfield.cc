@@ -38,6 +38,7 @@ MeanFieldSim::MeanFieldSim(const serving::Deployment& initial,
   CLOVER_CHECK_MSG(!options_.burst.enabled(),
                    "the mean-field tier does not model bursts");
   rate_qps_ = options_.arrival_rate_qps;
+  window_ci_ = trace_->At(window_start_);
 }
 
 void MeanFieldSim::SetArrivalRate(double qps) {
@@ -46,6 +47,11 @@ void MeanFieldSim::SetArrivalRate(double qps) {
 }
 
 void MeanFieldSim::AdvanceTo(double t) {
+  if (own_tails_ == nullptr) own_tails_ = std::make_unique<MmcTailCache>();
+  AdvanceTo(t, own_tails_.get());
+}
+
+void MeanFieldSim::AdvanceTo(double t, MmcTailCache* tails) {
   CLOVER_CHECK_MSG(t >= now_, "mean-field time cannot run backwards");
   for (;;) {
     const double window_end = window_start_ + options_.window_seconds;
@@ -54,7 +60,7 @@ void MeanFieldSim::AdvanceTo(double t) {
       return;
     }
     Integrate(window_end);
-    CloseWindow();
+    CloseWindow(tails);
   }
 }
 
@@ -95,7 +101,7 @@ void MeanFieldSim::Integrate(double end) {
   now_ = end;
 }
 
-void MeanFieldSim::CloseWindow() {
+void MeanFieldSim::CloseWindow(MmcTailCache* tails) {
   const double window_s = options_.window_seconds;
   WindowRecord record;
   record.start_s = window_start_;
@@ -120,7 +126,7 @@ void MeanFieldSim::CloseWindow() {
           window_s +
       window_dynamic_j_;
   total_energy_j_ += record.energy_j;
-  record.ci = trace_->At(window_start_);
+  record.ci = window_ci_;
   record.carbon_g = accountant_.AccountEnergy(record.ci, record.energy_j);
   total_carbon_g_ += record.carbon_g;
 
@@ -149,16 +155,11 @@ void MeanFieldSim::CloseWindow() {
       record.mean_ms = split.mean_service_ms + SecondsToMs(mean_wait_s);
       record.p95_ms = split.p95_service_ms + SecondsToMs(tail_wait_s);
     } else {
-      const double arrival_rate = std::max(lambda, 1e-12);
-      if (arrival_rate != memo_arrival_rate_) {
-        memo_tail_ =
-            AnalyzeTail(fleet_.Mmc(arrival_rate), options_.service_model);
-        memo_arrival_rate_ = arrival_rate;
-        ++mmc_evaluations_;
-      }
-      const Latency latency = ComposeLatency(
-          split, memo_tail_, options_.service_model,
-          options_.service_jitter_sigma);
+      const MmcTail& tail = tails->Get(fleet_.Mmc(std::max(lambda, 1e-12)),
+                                       options_.service_model);
+      const Latency latency =
+          ComposeLatency(split, tail, options_.service_model,
+                         options_.service_jitter_sigma);
       record.mean_ms = latency.mean_ms;
       record.p95_ms = latency.p95_ms;
     }
@@ -172,18 +173,48 @@ void MeanFieldSim::CloseWindow() {
   if (record.completions > 0 && record.p95_ms > 0.0) {
     const std::uint64_t bulk = static_cast<std::uint64_t>(
         0.95 * static_cast<double>(record.completions));
-    overall_latency_.Add(record.mean_ms, bulk);
-    overall_latency_.Add(record.p95_ms, record.completions - bulk);
+    AddToRun(&mean_run_, record.mean_ms, bulk);
+    AddToRun(&tail_run_, record.p95_ms, record.completions - bulk);
   }
 
   windows_.push_back(record);
   ++steps_;
   window_start_ += window_s;
+  window_ci_ = trace_->At(window_start_);
   window_dynamic_j_ = 0.0;
   window_served_ = 0.0;
   window_accuracy_mass_ = 0.0;
   window_arrival_mass_ = 0.0;
   window_backlog_integral_ = 0.0;
+}
+
+void MeanFieldSim::AddToRun(PendingRun* run, double value,
+                            std::uint64_t count) {
+  const std::size_t bin = LogHistogramQuantile::BinIndex(value);
+  if (run->count > 0 && bin == run->bin) {
+    run->count += count;
+    return;
+  }
+  FlushRun(run);
+  *run = {value, bin, count};
+}
+
+void MeanFieldSim::FlushRun(PendingRun* run) const {
+  if (run->count == 0) return;
+  Histogram().Add(run->value, run->count);
+  run->count = 0;
+}
+
+LogHistogramQuantile& MeanFieldSim::Histogram() const {
+  if (overall_latency_ == nullptr)
+    overall_latency_ = std::make_unique<LogHistogramQuantile>();
+  return *overall_latency_;
+}
+
+const LogHistogramQuantile& MeanFieldSim::latency_histogram() const {
+  FlushRun(&mean_run_);
+  FlushRun(&tail_run_);
+  return Histogram();
 }
 
 std::uint64_t MeanFieldSim::total_arrivals() const {

@@ -36,13 +36,18 @@
 // is overloaded. tests/meanfield_test.cc bounds the error against the
 // discrete-event tier over the differential (c, rho) grid.
 //
-// The M/M/c terms depend on the window's mean offered rate alone (mu, c
-// and the jitter sigma are fixed for the simulator's life), so a one-entry
-// memo keyed on that exact rate reuses them: a fleet region the router
-// holds at one rate — every region under the static and least-loaded
-// splits — evaluates Erlang C once, not once per window. A miss runs it
-// once, the metrics feeding the quantile. A window close allocates
-// nothing: the class split lands in storage sized at construction.
+// The M/M/c terms are a pure function of (lambda, mu, c, service model),
+// so window closes look them up in an exact-key cache (MmcTailCache,
+// sim/queueing.h). A standalone simulator owns one; the fluid fleet lends
+// each region step its fan-out slot's cache, so regions the router gives
+// the same rate — every full region of one preset gets the same bits —
+// share one Erlang C evaluation per rebalance instead of one each. A window
+// close allocates nothing: the class split lands in storage sized at
+// construction. It reads the carbon trace once per window, when the window
+// opens; the fleet's snapshot of a fluid region reuses that reading. The
+// run-level histogram takes each window's two synthetic masses through a
+// pending (bin, count) run per value, so a region held at one rate touches
+// its histogram only when a value changes bin.
 //
 // What this tier does NOT model: per-request jitter (latency quantiles are
 // analytic, not sampled — max_ms is reported as p95), reconfiguration
@@ -50,7 +55,9 @@
 // need those fall back to rung 3.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "carbon/accountant.h"
@@ -74,14 +81,21 @@ class MeanFieldSim {
                const carbon::CarbonTrace* trace, const SimOptions& options);
 
   // Advances fluid time to `t` (>= now()), integrating piecewise between
-  // window edges and closing a WindowRecord at each edge.
+  // window edges and closing a WindowRecord at each edge. Window latencies
+  // come through `tails`, or through the simulator's own cache when none is
+  // lent; the choice changes only time.
   void AdvanceTo(double t);
+  void AdvanceTo(double t, MmcTailCache* tails);
 
   // Re-routes the offered stream from now() onward (fleet router hook;
   // mirrors ClusterSim::SetArrivalRate).
   void SetArrivalRate(double qps);
 
   double now() const { return now_; }
+  // Start of the open window and the carbon intensity read when it opened
+  // (the trace at window_start_s()).
+  double window_start_s() const { return window_start_; }
+  double window_ci() const { return window_ci_; }
   int num_gpus() const { return num_gpus_; }
   double arrival_rate_qps() const { return rate_qps_; }
   // Aggregate service capacity of the collapsed classes, requests/second.
@@ -101,9 +115,11 @@ class MeanFieldSim {
   // Fluid window updates processed (the "sim_events" analogue for
   // throughput accounting; one per closed window).
   std::uint64_t steps() const { return steps_; }
-  // Windows whose M/M/c terms were evaluated rather than reused (memo
-  // misses; see the header comment).
-  std::uint64_t mmc_evaluations() const { return mmc_evaluations_; }
+  // M/M/c evaluations of the simulator's own cache (its misses; a lent
+  // cache counts its own).
+  std::uint64_t mmc_evaluations() const {
+    return own_tails_ ? own_tails_->evaluations() : 0;
+  }
 
   // ClusterSim-shaped taps so report fills and the fleet aggregation treat
   // both tiers uniformly. Counters are floors of the cumulative masses.
@@ -113,21 +129,34 @@ class MeanFieldSim {
   double total_energy_j() const { return total_energy_j_; }
   double total_carbon_g() const { return total_carbon_g_; }
   double OverallWeightedAccuracy() const;
-  double OverallP95Ms() const { return overall_latency_.Quantile(0.95); }
+  double OverallP95Ms() const { return latency_histogram().Quantile(0.95); }
   double OverallQuantileMs(double q) const {
-    return overall_latency_.Quantile(q);
+    return latency_histogram().Quantile(q);
   }
   // Synthetic run-level distribution: per closed window, 95% of the
   // window's completions at its mean and 5% at its p95 (bin-resolution
-  // approximation; what the fleet layer merges across regions).
-  const LogHistogramQuantile& latency_histogram() const {
-    return overall_latency_;
-  }
+  // approximation; what the fleet layer merges across regions). Reading it
+  // flushes the pending runs (header comment), so like every member it
+  // must not be called concurrently with another call on this simulator.
+  const LogHistogramQuantile& latency_histogram() const;
 
  private:
+  // Adds of one value stream held back while they land in one bin; bin
+  // counts are integers, so flushing late leaves the histogram identical.
+  struct PendingRun {
+    double value = 0.0;  // any value in `bin`
+    std::size_t bin = 0;
+    std::uint64_t count = 0;
+  };
+  void AddToRun(PendingRun* run, double value, std::uint64_t count);
+  // Adds the run to the histogram and empties the run.
+  void FlushRun(PendingRun* run) const;
+  // The run-level histogram, created on first use.
+  LogHistogramQuantile& Histogram() const;
+
   // Integrates the fluid flows over [now_, end] (no window crossing).
   void Integrate(double end);
-  void CloseWindow();
+  void CloseWindow(MmcTailCache* tails);
 
   ServerClasses fleet_;
   std::vector<double> window_split_;  // per-class served mass, CloseWindow
@@ -140,6 +169,7 @@ class MeanFieldSim {
 
   double now_ = 0.0;
   double window_start_ = 0.0;
+  double window_ci_ = 0.0;  // the trace at window_start_
   double backlog_ = 0.0;
 
   // Cumulative masses (fractional requests) and their values at the last
@@ -161,14 +191,18 @@ class MeanFieldSim {
   double total_energy_j_ = 0.0;
   double total_carbon_g_ = 0.0;
 
-  // The last evaluated M/M/c terms, keyed on the exact arrival rate.
-  double memo_arrival_rate_ = -1.0;  // none yet (real rates are > 0)
-  MmcTail memo_tail_;
-  std::uint64_t mmc_evaluations_ = 0;
+  // Created on the first advance without a lent cache.
+  std::unique_ptr<MmcTailCache> own_tails_;
 
   std::uint64_t steps_ = 0;
   std::vector<WindowRecord> windows_;
-  LogHistogramQuantile overall_latency_;
+  // The runs still to reach the histogram (mean, p95). The histogram is
+  // created by the first flush: a fleet builds thousands of simulators in
+  // a row, and a 4 KB histogram between two regions' hot members would put
+  // each region's on pages of its own.
+  mutable PendingRun mean_run_;
+  mutable PendingRun tail_run_;
+  mutable std::unique_ptr<LogHistogramQuantile> overall_latency_;
 };
 
 }  // namespace clover::sim

@@ -1,6 +1,7 @@
 #include "sim/queueing.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/check.h"
@@ -95,6 +96,24 @@ MmcTail AnalyzeTail(const analytic::MmcConfig& mmc, ServiceModel model) {
                    ? analytic::MmcSojournQuantile(mmc, tail.metrics, 0.95)
                    : analytic::MmcWaitQuantile(mmc, tail.metrics, 0.95);
   return tail;
+}
+
+const MmcTail& MmcTailCache::Get(const analytic::MmcConfig& mmc,
+                                 ServiceModel model) {
+  CLOVER_CHECK(mmc.servers >= 1);  // empty entries hold c = 0
+  const auto arrival_bits = std::bit_cast<std::uint64_t>(mmc.arrival_rate);
+  const auto service_bits = std::bit_cast<std::uint64_t>(mmc.service_rate);
+  for (const Entry& entry : entries_)
+    if (entry.arrival_bits == arrival_bits &&
+        entry.service_bits == service_bits && entry.servers == mmc.servers &&
+        entry.model == model)
+      return entry.tail;
+  Entry& entry = entries_[next_];
+  next_ = (next_ + 1) % kEntries;
+  entry = {arrival_bits, service_bits, mmc.servers, model,
+           AnalyzeTail(mmc, model)};
+  ++evaluations_;
+  return entry.tail;
 }
 
 Latency ComposeLatency(const LoadSplit& split, const MmcTail& tail,

@@ -21,7 +21,9 @@
 // 95% of the load, so the tail errs high — the side an SLA screen needs.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "mig/slice_type.h"
@@ -88,6 +90,32 @@ struct MmcTail {
   double p95_s = 0.0;
 };
 MmcTail AnalyzeTail(const analytic::MmcConfig& mmc, ServiceModel model);
+
+// AnalyzeTail behind a small exact-key cache. The key is the bit patterns
+// of lambda and mu plus c and the service model, so a hit returns exactly
+// the bits a fresh evaluation would: hits and misses change only time. A
+// miss overwrites the entries in a fixed round-robin order. Not
+// synchronized — one user at a time (the fluid fleet keeps one per fan-out
+// slot and lends it to each region step).
+class MmcTailCache {
+ public:
+  const MmcTail& Get(const analytic::MmcConfig& mmc, ServiceModel model);
+  // AnalyzeTail evaluations so far (the misses).
+  std::uint64_t evaluations() const { return evaluations_; }
+
+ private:
+  static constexpr std::size_t kEntries = 8;
+  struct Entry {
+    std::uint64_t arrival_bits = 0;
+    std::uint64_t service_bits = 0;
+    int servers = 0;  // 0 = empty (a real M/M/c has c >= 1)
+    ServiceModel model = ServiceModel::kJittered;
+    MmcTail tail;
+  };
+  std::array<Entry, kEntries> entries_{};
+  std::size_t next_ = 0;  // the entry the next miss overwrites
+  std::uint64_t evaluations_ = 0;
+};
 
 struct Latency {
   double mean_ms = 0.0;

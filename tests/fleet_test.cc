@@ -21,10 +21,11 @@
 
 #include "carbon/trace_generator.h"
 #include "common/units.h"
+#include "core/controller.h"
 #include "core/harness.h"
 #include "exp/campaign.h"
-#include "fleet/fleet_controller.h"
 #include "fleet/fleet_sim.h"
+#include "fleet/meanfield_fleet.h"
 #include "fleet/region.h"
 #include "fleet/router.h"
 #include "fleet/window_fold.h"
@@ -251,32 +252,42 @@ std::vector<double> IndexSortGreedySplit(
   return alloc;
 }
 
-// Carbon-greedy sorts contiguous (ci, penalty, index) keys; over shuffled
+// Carbon-greedy radix-sorts (ci, penalty, index) keys; over shuffled
 // snapshots with many tied intensities and penalties its split must equal
 // the index-sort fill bit for bit, from a light load to an overload that
-// spills past every region's margin.
+// spills past every region's margin. The pools hold both zeros (equal
+// under the comparator, different in their bits), subnormals, and equal
+// intensities at distinct penalties; fleets run from 1 region to 2000.
 TEST(Router, CarbonGreedyKeySortMatchesIndexSort) {
   const RouterOptions options{1.45, 120.0};
   const auto router = MakeRouter(RouterPolicy::kCarbonGreedy);
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> intensities = {-0.0,  0.0,   kTiny, 1e-310,
+                                           120.0, 180.0, 240.0};
+  const std::vector<double> penalties = {-0.0, 0.0, kTiny, 1e-310, 5.0, 20.0};
   std::mt19937_64 rng(20261019);
-  for (int trial = 0; trial < 20; ++trial) {
-    SCOPED_TRACE(trial);
-    std::vector<RegionSnapshot> snapshots;
-    for (int i = 0; i < 64; ++i) {
-      const double ci = 120.0 + 60.0 * static_cast<double>(rng() % 3);
-      const double penalty = rng() % 2 == 0 ? 5.0 : 20.0;
-      const double capacity = 100.0 + 50.0 * static_cast<double>(rng() % 4);
-      snapshots.push_back(MakeSnapshot(ci, capacity, penalty));
-    }
-    std::shuffle(snapshots.begin(), snapshots.end(), rng);
-    double safe_total = 0.0;
-    for (const RegionSnapshot& snapshot : snapshots)
-      safe_total += snapshot.capacity_qps / options.capacity_margin;
-    for (const double load : {0.05, 0.4, 0.9, 1.3}) {
-      SCOPED_TRACE(load);
-      const double total_qps = load * safe_total;
-      ExpectSameBits(router->Split(snapshots, total_qps, options),
-                     IndexSortGreedySplit(snapshots, total_qps, options));
+  for (const std::size_t regions : {std::size_t{1}, std::size_t{64},
+                                    std::size_t{2000}}) {
+    for (int trial = 0; trial < (regions == 2000 ? 3 : 20); ++trial) {
+      SCOPED_TRACE(::testing::Message() << regions << " regions, trial "
+                                        << trial);
+      std::vector<RegionSnapshot> snapshots;
+      for (std::size_t i = 0; i < regions; ++i) {
+        const double ci = intensities[rng() % intensities.size()];
+        const double penalty = penalties[rng() % penalties.size()];
+        const double capacity = 100.0 + 50.0 * static_cast<double>(rng() % 4);
+        snapshots.push_back(MakeSnapshot(ci, capacity, penalty));
+      }
+      std::shuffle(snapshots.begin(), snapshots.end(), rng);
+      double safe_total = 0.0;
+      for (const RegionSnapshot& snapshot : snapshots)
+        safe_total += snapshot.capacity_qps / options.capacity_margin;
+      for (const double load : {0.05, 0.4, 0.9, 1.3}) {
+        SCOPED_TRACE(load);
+        const double total_qps = load * safe_total;
+        ExpectSameBits(router->Split(snapshots, total_qps, options),
+                       IndexSortGreedySplit(snapshots, total_qps, options));
+      }
     }
   }
 }
@@ -309,7 +320,7 @@ void ExpectFoldP95MatchesSortWalk(const std::vector<double>& p95_ms,
   params.c_base_g = 1.0;
   params.l_tail_ms = 100.0;
   WindowFold fold(p95_ms.size(), params, /*fallback_energy_per_request_j=*/
-                  1.0, /*slo_budget_ms=*/100.0);
+                  1.0, /*slo_budget_ms=*/100.0, /*windows_per_region=*/1);
   std::vector<std::pair<double, std::uint64_t>> masses;
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < p95_ms.size(); ++i) {
@@ -484,21 +495,28 @@ TEST(FleetReporting, ControllerSnapshotsDescribeRegions) {
             1u + static_cast<std::size_t>(3.0 * 3600.0 / 300.0));
 }
 
-// What a hand-stepped fleet's regions handed over: handed_over[b][i] holds
-// the windows region i closed between barriers b - 1 and b (the last
-// barrier follows the final advance to the run's end), all pushed through
-// `fold`.
+// What a hand-stepped fleet produced: handed_over[b][i] holds the windows
+// region i closed between barriers b - 1 and b (the last barrier follows
+// the final advance to the run's end), all pushed through `fold`; each
+// region's totals and objective series (computed here from its windows);
+// and the weight history.
 struct HandOff {
   std::vector<std::vector<std::vector<sim::WindowRecord>>> handed_over;
   std::unique_ptr<WindowFold> fold;
+  std::vector<core::RunReport> regions;
+  std::vector<std::vector<double>> weight_history;
 };
 
-// Steps a fault-free discrete-event fleet the way RunFleet does —
-// calibration, one trace and seed per region, router, FleetController over
-// core::ControlBoundaries, a hand-off and fold at every barrier — but
-// keeps every window the regions hand over, so a test can check the fold
-// against the windows the regions actually closed.
-HandOff StepFleetByHand(const FleetConfig& config) {
+// Steps a fault-free fleet the way RunFleet documents it, without
+// FleetController: calibration, one trace and seed per region, the router,
+// a core::Controller per region when the scheme adapts, and over
+// core::ControlBoundaries: advance, controller step, snapshot, split, then
+// SetAssignedRate on every region after every split, changed or not; then
+// a hand-off and fold. Keeps every window the regions hand over, so a test
+// can check the fold against the windows the regions actually closed.
+HandOff StepFleetByHand(const FleetConfig& config,
+                        Region::Backend backend =
+                            Region::Backend::kDiscreteEvent) {
   const models::ModelZoo& zoo = models::DefaultZoo();
   core::ExperimentHarness harness(&zoo);
   const core::BaselineCalibration& calibration =
@@ -531,44 +549,76 @@ HandOff StepFleetByHand(const FleetConfig& config) {
         config.regions[i], &zoo,
         carbon::GenerateRegionTrace(config.regions[i].preset, trace_options),
         serving::MakeBase(config.app, config.regions[i].num_gpus),
-        sim_options, Region::Backend::kDiscreteEvent));
+        sim_options, backend));
+  }
+  std::vector<std::unique_ptr<core::Controller>> controllers;
+  if (config.scheme == core::Scheme::kClover ||
+      config.scheme == core::Scheme::kBlover) {
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      core::Controller::Options options = config.controller;
+      options.scheme = config.scheme;
+      options.seed = RegionSeed(config.seed, i);
+      controllers.push_back(std::make_unique<core::Controller>(
+          &regions[i]->sim(), &zoo, &regions[i]->trace(), params, options));
+    }
   }
   const std::unique_ptr<Router> router = MakeRouter(config.router);
-  FleetControllerOptions options;
-  options.scheme = config.scheme;
-  options.controller = config.controller;
-  options.router = config.router_options;
-  if (options.router.slo_budget_ms <= 0.0)
-    options.router.slo_budget_ms =
-        config.slo_budget_factor * params.l_tail_ms;
-  options.threads = config.threads;
-  options.seed = config.seed;
-  FleetController controller(&regions, &zoo, router.get(), params,
-                             total_qps, options);
+  RouterOptions router_options = config.router_options;
+  if (router_options.slo_budget_ms <= 0.0)
+    router_options.slo_budget_ms = config.slo_budget_factor * params.l_tail_ms;
 
   HandOff hand_off;
   hand_off.fold = std::make_unique<WindowFold>(
       regions.size(), params, calibration.energy_per_request_j,
-      options.router.slo_budget_ms);
+      router_options.slo_budget_ms, /*windows_per_region=*/0);
+  hand_off.regions.resize(regions.size());
+  std::vector<RegionSnapshot> snapshots(regions.size());
+  const auto rebalance = [&] {
+    std::vector<double> weights =
+        router->Split(snapshots, total_qps, router_options);
+    for (std::size_t i = 0; i < regions.size(); ++i)
+      regions[i]->SetAssignedRate(weights[i] * total_qps);
+    hand_off.weight_history.push_back(std::move(weights));
+  };
   const auto take = [&] {
     auto& barrier = hand_off.handed_over.emplace_back(regions.size());
     for (std::size_t i = 0; i < regions.size(); ++i) {
       regions[i]->TakeClosedWindows(&barrier[i]);
-      for (const sim::WindowRecord& window : barrier[i])
+      for (const sim::WindowRecord& window : barrier[i]) {
+        hand_off.regions[i].objective_series.push_back(core::WindowObjective(
+            window, params, calibration.energy_per_request_j));
         hand_off.fold->Push(i, window,
                             regions[i]->LatencyPenaltyAt(window.start_s));
+      }
     }
     hand_off.fold->FoldReady();
   };
+  for (std::size_t i = 0; i < regions.size(); ++i)
+    snapshots[i] = regions[i]->Snapshot(0.0);
+  rebalance();
   const double duration_s = HoursToSeconds(config.duration_hours);
-  for (const double t :
+  for (const double boundary :
        core::ControlBoundaries(config.control_interval_s, duration_s)) {
-    controller.Step(std::min(t, duration_s));
+    const double t = std::min(boundary, duration_s);
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      Region& region = *regions[i];
+      if (t > region.now()) region.AdvanceTo(t);
+      if (!controllers.empty() && region.OnlineAt(t) &&
+          region.assigned_qps() > 0.0)
+        controllers[i]->Step();
+      snapshots[i] = region.Snapshot(t);
+    }
+    rebalance();
     take();
   }
   for (auto& region : regions)
     if (duration_s > region->now()) region->AdvanceTo(duration_s);
   take();
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    regions[i]->FillTotals(&hand_off.regions[i]);
+    if (!controllers.empty())
+      hand_off.regions[i].optimizations = controllers[i]->history();
+  }
   return hand_off;
 }
 
@@ -698,6 +748,59 @@ TEST(FleetReporting, StreamedFoldAlignsOverrunningRegions) {
     EXPECT_TRUE(FleetReportsBitIdentical(
         one, RunFleet(config, models::DefaultZoo())))
         << threads << " threads";
+  }
+}
+
+// The fleet applies each split in the region's next step rather than at
+// the barrier, and hands windows over inside the step; neither may change
+// a bit. Every region's totals and objective series, the fleet windows and
+// the weight history must equal a fleet stepped by hand in the documented
+// order — split, then SetAssignedRate on every region after every split,
+// changed or not (a discrete-event region's SetArrivalRate redraws its
+// pending arrival, so skipping an unchanged rate moves its stream) — for
+// a CLOVER discrete-event fleet and a fluid fleet, at 1 and 4 threads.
+TEST(FleetReporting, RunFleetMatchesHandSteppedRateOrder) {
+  FleetConfig clover = SmallCloverFleet(1);
+  clover.duration_hours = 2.0;
+  exp::CellSpec cell;
+  cell.mode = exp::CampaignMode::kFleet;
+  cell.scheme = core::Scheme::kBase;
+  cell.regions = {"us-west", "us-east", "eu-west", "ap-northeast"};
+  cell.router = RouterPolicy::kCarbonGreedy;
+  cell.meanfield = true;
+  cell.region_replicas = 2;
+  cell.gpus = 4;
+  cell.hours = 6.0;
+  cell.seed = 7;
+  FleetConfig fluid = exp::MakeFleetCellConfig(cell);
+  ASSERT_EQ(fluid.regions.size(), 8u);
+
+  const struct {
+    FleetConfig config;
+    Region::Backend backend;
+  } fleets[] = {{clover, Region::Backend::kDiscreteEvent},
+                {fluid, Region::Backend::kMeanField}};
+  for (const auto& [config, backend] : fleets) {
+    SCOPED_TRACE(config.regions.size());
+    const HandOff hand_off = StepFleetByHand(config, backend);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      FleetConfig threaded = config;
+      threaded.threads = threads;
+      const FleetReport report =
+          backend == Region::Backend::kMeanField
+              ? RunFleetMeanField(threaded, models::DefaultZoo())
+              : RunFleet(threaded, models::DefaultZoo());
+      ASSERT_EQ(report.regions.size(), hand_off.regions.size());
+      for (std::size_t i = 0; i < report.regions.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_GT(hand_off.regions[i].completions, 0u);
+        EXPECT_TRUE(core::RunReportsBitIdentical(report.regions[i].report,
+                                                 hand_off.regions[i]));
+      }
+      EXPECT_EQ(report.weight_history, hand_off.weight_history);
+      ExpectSameWindows(hand_off.fold->windows(), report.fleet.windows);
+    }
   }
 }
 

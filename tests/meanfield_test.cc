@@ -29,16 +29,19 @@
 // are bit-identical at every thread count.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "carbon/trace.h"
 #include "common/check.h"
 #include "common/units.h"
+#include "core/harness.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/meanfield_fleet.h"
 #include "graph/config_graph.h"
@@ -213,7 +216,8 @@ TEST(MeanFieldSimTest, QueueingMemoMatchesDirectEvaluation) {
   const double r1 = 0.5 * servers * mu;
   const double r2 = 0.8 * servers * mu;
   const std::vector<double> rates = {r1, r1, r2, r1};
-  const std::vector<std::uint64_t> evaluations = {1, 1, 2, 3};
+  // The tail cache keeps both rates: r1's return in window 3 is a hit.
+  const std::vector<std::uint64_t> evaluations = {1, 1, 2, 2};
 
   options.arrival_rate_qps = r1;
   MeanFieldSim fluid(base, zoo, &FlatTrace(), options);
@@ -247,6 +251,86 @@ TEST(MeanFieldSimTest, QueueingMemoMatchesDirectEvaluation) {
   }
   EXPECT_EQ(fluid.windows()[3].mean_ms, fluid.windows()[0].mean_ms);
   EXPECT_NE(fluid.windows()[2].p95_ms, fluid.windows()[0].p95_ms);
+}
+
+void ExpectSameTail(const MmcTail& a, const MmcTail& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(bits(a.metrics.utilization), bits(b.metrics.utilization));
+  EXPECT_EQ(bits(a.metrics.offered_load), bits(b.metrics.offered_load));
+  EXPECT_EQ(bits(a.metrics.wait_probability),
+            bits(b.metrics.wait_probability));
+  EXPECT_EQ(bits(a.metrics.mean_wait_s), bits(b.metrics.mean_wait_s));
+  EXPECT_EQ(bits(a.metrics.mean_sojourn_s), bits(b.metrics.mean_sojourn_s));
+  EXPECT_EQ(bits(a.metrics.mean_queue_length),
+            bits(b.metrics.mean_queue_length));
+  EXPECT_EQ(bits(a.metrics.mean_in_system), bits(b.metrics.mean_in_system));
+  EXPECT_EQ(bits(a.p95_s), bits(b.p95_s));
+}
+
+// The M/M/c tail cache (sim/queueing.h) the fluid fleet lends its regions:
+// two simulators with the same classes at the same rate share one
+// evaluation; a different lambda, mu, c or service model misses; and every
+// tail it returns, hit or miss, equals a direct AnalyzeTail bit for bit.
+TEST(MeanFieldSimTest, TailCacheSharesEvaluationsAndMatchesDirectTails) {
+  const models::ModelZoo& zoo = models::DefaultZoo();
+  SimOptions options;
+  options.window_seconds = 300.0;
+  options.arrival_rate_qps = 0.6 * 2 * ServiceRatePerServer();
+  const serving::Deployment two =
+      serving::MakeBase(models::Application::kClassification, 2);
+  MeanFieldSim first(two, zoo, &FlatTrace(), options);
+  MeanFieldSim second(two, zoo, &FlatTrace(), options);
+  MmcTailCache lent;
+  first.AdvanceTo(600.0, &lent);
+  EXPECT_EQ(lent.evaluations(), 1u);
+  second.AdvanceTo(600.0, &lent);
+  EXPECT_EQ(lent.evaluations(), 1u) << "same classes, same rate: one tail";
+  EXPECT_EQ(first.mmc_evaluations(), 0u);  // neither used its own cache
+  ASSERT_EQ(second.windows().size(), 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(first.windows()[1].p95_ms),
+            std::bit_cast<std::uint64_t>(second.windows()[1].p95_ms));
+  // Three servers at the same rate: another c and mu, another tail.
+  MeanFieldSim third(
+      serving::MakeBase(models::Application::kClassification, 3), zoo,
+      &FlatTrace(), options);
+  third.AdvanceTo(300.0, &lent);
+  EXPECT_EQ(lent.evaluations(), 2u);
+
+  const analytic::MmcConfig base{0.7 * 4 * ServiceRatePerServer(),
+                                 ServiceRatePerServer(), 4};
+  std::vector<std::pair<analytic::MmcConfig, ServiceModel>> keys;
+  keys.emplace_back(base, ServiceModel::kJittered);
+  keys.emplace_back(base, ServiceModel::kExponential);
+  analytic::MmcConfig other = base;
+  other.arrival_rate = std::nextafter(base.arrival_rate, 0.0);
+  keys.emplace_back(other, ServiceModel::kJittered);
+  other = base;
+  other.service_rate = std::nextafter(base.service_rate, 1e9);
+  keys.emplace_back(other, ServiceModel::kJittered);
+  other = base;
+  other.servers = 5;
+  keys.emplace_back(other, ServiceModel::kJittered);
+  MmcTailCache cache;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    SCOPED_TRACE(k);
+    ExpectSameTail(cache.Get(keys[k].first, keys[k].second),
+                   AnalyzeTail(keys[k].first, keys[k].second));
+    EXPECT_EQ(cache.evaluations(), k + 1) << "a changed key must miss";
+  }
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    SCOPED_TRACE(k);
+    ExpectSameTail(cache.Get(keys[k].first, keys[k].second),
+                   AnalyzeTail(keys[k].first, keys[k].second));
+  }
+  EXPECT_EQ(cache.evaluations(), keys.size()) << "repeats must hit";
+  // Past its capacity the cache replaces entries and stays exact.
+  for (int r = 1; r <= 40; ++r) {
+    analytic::MmcConfig mmc = base;
+    mmc.arrival_rate = base.arrival_rate * (0.2 + 0.02 * (r % 20));
+    ExpectSameTail(cache.Get(mmc, ServiceModel::kJittered),
+                   AnalyzeTail(mmc, ServiceModel::kJittered));
+  }
+  EXPECT_GT(cache.evaluations(), keys.size() + 20);
 }
 
 // Under a stable load the fluid tier and the surrogate quote the same
@@ -468,6 +552,22 @@ TEST(MeanFieldFleetTest, RunsAreBitIdenticalAtAnyThreadCount) {
         reference, fleet::RunFleetMeanField(FluidFleet(threads), zoo)))
         << threads << " threads";
   }
+}
+
+// A run that ends a hair before a control boundary clips its last
+// boundary to the end, so the fleet snapshots its fluid regions inside a
+// window there; that snapshot reads the trace at the clipped instant.
+TEST(MeanFieldFleetTest, RunEndingJustBeforeABoundaryStepsToTheEnd) {
+  fleet::FleetConfig config = FluidFleet(1);
+  config.duration_hours = 0.49999999999999994;
+  const double end_s = HoursToSeconds(config.duration_hours);
+  ASSERT_LT(end_s, 1800.0);
+  ASSERT_EQ(core::ControlBoundaries(config.control_interval_s, end_s).size(),
+            6u);
+  const fleet::FleetReport report =
+      fleet::RunFleetMeanField(config, models::DefaultZoo());
+  EXPECT_EQ(report.weight_history.size(), 7u);
+  EXPECT_EQ(report.fleet.windows.size(), 6u);
 }
 
 // The fleet folds each control interval's windows at the barrier, so fluid
