@@ -77,31 +77,12 @@ using namespace clover;
   std::exit(2);
 }
 
-core::Scheme ParseScheme(const std::string& name, const char* argv0) {
-  if (name == "base") return core::Scheme::kBase;
-  if (name == "co2opt") return core::Scheme::kCo2Opt;
-  if (name == "blover") return core::Scheme::kBlover;
-  if (name == "clover") return core::Scheme::kClover;
-  if (name == "oracle") return core::Scheme::kOracle;
-  std::cerr << "unknown scheme " << name << "\n";
-  Usage(argv0);
-}
-
-models::Application ParseApp(const std::string& name, const char* argv0) {
-  if (name == "detection") return models::Application::kDetection;
-  if (name == "language") return models::Application::kLanguage;
-  if (name == "classification") return models::Application::kClassification;
-  std::cerr << "unknown application " << name << "\n";
-  Usage(argv0);
-}
-
-carbon::TraceProfile ParseProfile(const std::string& name,
-                                  const char* argv0) {
-  if (name == "ciso-march") return carbon::TraceProfile::kCisoMarch;
-  if (name == "ciso-september")
-    return carbon::TraceProfile::kCisoSeptember;
-  if (name == "eso-march") return carbon::TraceProfile::kEsoMarch;
-  std::cerr << "unknown trace profile " << name << "\n";
+// The value a flag's token names in `table`; `what` labels the error.
+template <typename Enum, std::size_t N>
+Enum ParseFlag(const EnumToken<Enum> (&table)[N], const std::string& name,
+               const char* what, const char* argv0) {
+  if (const std::optional<Enum> value = ParseToken(table, name)) return *value;
+  std::cerr << "unknown " << what << " " << name << "\n";
   Usage(argv0);
 }
 
@@ -266,9 +247,10 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scheme") {
-      config.scheme = ParseScheme(next(), argv[0]);
+      config.scheme = ParseFlag(core::kSchemeTokens, next(), "scheme", argv[0]);
     } else if (arg == "--app") {
-      config.app = ParseApp(next(), argv[0]);
+      config.app =
+          ParseFlag(models::kApplicationTokens, next(), "application", argv[0]);
     } else if (arg == "--trace") {
       trace_explicit = true;
       trace_name = next();
@@ -368,7 +350,9 @@ int main(int argc, char** argv) {
   trace_options.seed = config.seed + 41;
   const carbon::CarbonTrace trace =
       trace_csv.empty()
-          ? GenerateTrace(ParseProfile(trace_name, argv[0]), trace_options)
+          ? GenerateTrace(ParseFlag(carbon::kTraceProfileTokens, trace_name,
+                                      "trace profile", argv[0]),
+                            trace_options)
           : carbon::CarbonTrace::FromCsv("user-trace", trace_csv);
   config.trace = &trace;
 

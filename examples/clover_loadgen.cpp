@@ -57,28 +57,23 @@ using namespace clover;
   std::exit(2);
 }
 
+// The live path supports base, blover and clover only.
 core::Scheme ParseScheme(const std::string& name, const char* argv0) {
-  if (name == "base") return core::Scheme::kBase;
-  if (name == "blover") return core::Scheme::kBlover;
-  if (name == "clover") return core::Scheme::kClover;
+  const std::optional<core::Scheme> scheme =
+      ParseToken(core::kSchemeTokens, name);
+  if (scheme == core::Scheme::kBase || scheme == core::Scheme::kBlover ||
+      scheme == core::Scheme::kClover)
+    return *scheme;
   std::cerr << "unknown scheme " << name << " (live path: base|blover|clover)\n";
   Usage(argv0);
 }
 
-models::Application ParseApp(const std::string& name, const char* argv0) {
-  if (name == "detection") return models::Application::kDetection;
-  if (name == "language") return models::Application::kLanguage;
-  if (name == "classification") return models::Application::kClassification;
-  std::cerr << "unknown application " << name << "\n";
-  Usage(argv0);
-}
-
-carbon::TraceProfile ParseProfile(const std::string& name,
-                                  const char* argv0) {
-  if (name == "ciso-march") return carbon::TraceProfile::kCisoMarch;
-  if (name == "ciso-september") return carbon::TraceProfile::kCisoSeptember;
-  if (name == "eso-march") return carbon::TraceProfile::kEsoMarch;
-  std::cerr << "unknown trace profile " << name << "\n";
+// The value a flag's token names in `table`; `what` labels the error.
+template <typename Enum, std::size_t N>
+Enum ParseFlag(const EnumToken<Enum> (&table)[N], const std::string& name,
+               const char* what, const char* argv0) {
+  if (const std::optional<Enum> value = ParseToken(table, name)) return *value;
+  std::cerr << "unknown " << what << " " << name << "\n";
   Usage(argv0);
 }
 
@@ -105,7 +100,8 @@ int main(int argc, char** argv) {
     if (arg == "--scheme") {
       config.scheme = ParseScheme(next(), argv[0]);
     } else if (arg == "--app") {
-      config.app = ParseApp(next(), argv[0]);
+      config.app =
+          ParseFlag(models::kApplicationTokens, next(), "application", argv[0]);
     } else if (arg == "--trace") {
       trace_name = next();
     } else if (arg == "--hours") {
@@ -150,7 +146,9 @@ int main(int argc, char** argv) {
   carbon::TraceGeneratorOptions trace_options;
   trace_options.duration_hours = config.duration_hours;
   const carbon::CarbonTrace trace =
-      GenerateTrace(ParseProfile(trace_name, argv[0]), trace_options);
+      GenerateTrace(ParseFlag(carbon::kTraceProfileTokens, trace_name,
+                            "trace profile", argv[0]),
+                  trace_options);
   config.trace = &trace;
 
   core::ExperimentHarness harness(&models::DefaultZoo());

@@ -6,10 +6,8 @@
 
 namespace clover::carbon {
 
-CarbonMonitor::CarbonMonitor(const CarbonTrace* trace, double change_threshold)
-    : trace_(trace), change_threshold_(change_threshold) {
+CarbonMonitor::CarbonMonitor(const CarbonTrace* trace) : trace_(trace) {
   CLOVER_CHECK(trace_ != nullptr);
-  CLOVER_CHECK(change_threshold_ > 0.0);
 }
 
 double CarbonMonitor::IntensityAt(double t_seconds) const {
@@ -20,7 +18,7 @@ bool CarbonMonitor::ShouldReoptimize(double t_seconds) const {
   if (!has_reference_) return true;
   const double now = IntensityAt(t_seconds);
   return std::abs(now - reference_intensity_) >
-         change_threshold_ * reference_intensity_;
+         kCiTrigger * reference_intensity_;
 }
 
 void CarbonMonitor::AcknowledgeOptimization(double t_seconds) {

@@ -11,28 +11,28 @@
 
 namespace clover::carbon {
 
+// Relative intensity change that triggers a re-optimization (5%).
+inline constexpr double kCiTrigger = 0.05;
+
 class CarbonMonitor {
  public:
-  // `change_threshold` is relative (0.05 = 5%).
-  CarbonMonitor(const CarbonTrace* trace, double change_threshold = 0.05);
+  explicit CarbonMonitor(const CarbonTrace* trace);
 
   // Current intensity at simulation time `t_seconds`.
   double IntensityAt(double t_seconds) const;
 
   // True when the intensity at `t_seconds` deviates from the reference
   // (the value captured by the last AcknowledgeOptimization) by more than
-  // the threshold. Always true before the first acknowledgement.
+  // kCiTrigger of it. Always true before the first acknowledgement.
   bool ShouldReoptimize(double t_seconds) const;
 
   // Records that an optimization ran against the intensity at `t_seconds`.
   void AcknowledgeOptimization(double t_seconds);
 
-  double change_threshold() const { return change_threshold_; }
   const CarbonTrace& trace() const { return *trace_; }
 
  private:
   const CarbonTrace* trace_;
-  double change_threshold_;
   bool has_reference_ = false;
   double reference_intensity_ = 0.0;
 };

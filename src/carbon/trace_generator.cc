@@ -16,6 +16,10 @@
 namespace clover::carbon {
 namespace {
 
+// Spacing of every generated trace's samples.
+constexpr double kSampleIntervalS = 300.0;
+constexpr double kSampleHours = kSampleIntervalS / 3600.0;
+
 struct ProfileParams {
   double base;            // mean level, gCO2/kWh
   double solar_dip;       // amplitude of the midday solar dip
@@ -49,11 +53,7 @@ ProfileParams ParamsFor(TraceProfile profile) {
 std::size_t NumSamples(const TraceGeneratorOptions& options) {
   return std::max<std::size_t>(
       1, static_cast<std::size_t>(HoursToSeconds(options.duration_hours) /
-                                  options.sample_interval_s));
-}
-
-double SampleHours(const TraceGeneratorOptions& options) {
-  return options.sample_interval_s / 3600.0;
+                                  kSampleIntervalS));
 }
 
 // The deterministic diurnal part of every sample, base + solar + ramp.
@@ -67,7 +67,6 @@ std::vector<double> DiurnalShape(const ProfileParams& params,
                                  double amplitude_scale,
                                  const TraceGeneratorOptions& options) {
   const std::size_t num_samples = NumSamples(options);
-  const double dt_hours = SampleHours(options);
   const double solar_dip = params.solar_dip * amplitude_scale;
   const double evening_ramp = params.evening_ramp * amplitude_scale;
   std::vector<double> shape;
@@ -75,7 +74,7 @@ std::vector<double> DiurnalShape(const ProfileParams& params,
   constexpr double kTwoPi = 6.283185307179586;
   for (std::size_t i = 0; i < num_samples; ++i) {
     const double hour_of_day =
-        std::fmod(static_cast<double>(i) * dt_hours + phase_shift_hours,
+        std::fmod(static_cast<double>(i) * kSampleHours + phase_shift_hours,
                   24.0);
     // Solar dip centered at 13:00 local (cos peaks there with this phase).
     const double solar =
@@ -99,7 +98,7 @@ CarbonTrace AddWeather(const ProfileParams& params,
                        const TraceGeneratorOptions& options) {
   RngStream rng(options.seed, stream_name);
   const double ou_sigma = params.ou_sigma * amplitude_scale;
-  const double decay = std::exp(-SampleHours(options) / params.ou_tau_hours);
+  const double decay = std::exp(-kSampleHours / params.ou_tau_hours);
   const double innovation_sigma = ou_sigma * std::sqrt(1.0 - decay * decay);
   double weather = ou_sigma * rng.NextGaussian();
   std::vector<double> values;
@@ -109,8 +108,7 @@ CarbonTrace AddWeather(const ProfileParams& params,
     values.push_back(
         std::clamp(diurnal + weather, params.floor, params.ceiling));
   }
-  return CarbonTrace(trace_name, options.sample_interval_s,
-                     std::move(values));
+  return CarbonTrace(trace_name, kSampleIntervalS, std::move(values));
 }
 
 std::string RegionStreamName(const RegionPreset& preset) {
@@ -195,33 +193,32 @@ std::vector<CarbonTrace> GenerateRegionTraces(
   return traces;
 }
 
-CarbonTrace FlatTrace(double g_per_kwh, double duration_hours,
-                      double sample_interval_s) {
+CarbonTrace FlatTrace(double g_per_kwh, double duration_hours) {
   CLOVER_CHECK(g_per_kwh > 0.0);
   CLOVER_CHECK(duration_hours > 0.0);
   const auto samples = static_cast<std::size_t>(
-      std::ceil(duration_hours * 3600.0 / sample_interval_s)) + 1;
-  return CarbonTrace("flat-" + std::to_string(g_per_kwh), sample_interval_s,
+      std::ceil(duration_hours * 3600.0 / kSampleIntervalS)) + 1;
+  return CarbonTrace("flat-" + std::to_string(g_per_kwh), kSampleIntervalS,
                      std::vector<double>(samples, g_per_kwh));
 }
 
 CarbonTrace StepTrace(double low, double high, double period_hours,
-                      double duration_hours, double sample_interval_s) {
+                      double duration_hours) {
   CLOVER_CHECK(low > 0.0 && high > low);
   CLOVER_CHECK(period_hours > 0.0 && duration_hours > 0.0);
   const double period_s = period_hours * 3600.0;
   const auto samples = static_cast<std::size_t>(
-      std::ceil(duration_hours * 3600.0 / sample_interval_s)) + 1;
+      std::ceil(duration_hours * 3600.0 / kSampleIntervalS)) + 1;
   std::vector<double> values(samples);
   for (std::size_t i = 0; i < samples; ++i) {
-    const double t = static_cast<double>(i) * sample_interval_s;
+    const double t = static_cast<double>(i) * kSampleIntervalS;
     const bool high_phase =
         static_cast<std::uint64_t>(std::floor(t / period_s)) % 2 == 1;
     values[i] = high_phase ? high : low;
   }
   return CarbonTrace("step-" + std::to_string(low) + "-" +
                          std::to_string(high),
-                     sample_interval_s, std::move(values));
+                     kSampleIntervalS, std::move(values));
 }
 
 }  // namespace clover::carbon

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "carbon/trace.h"
+#include "common/tokens.h"
 
 namespace clover::carbon {
 
@@ -37,11 +38,19 @@ enum class TraceProfile {
 
 inline constexpr int kNumTraceProfiles = 3;
 
+inline constexpr EnumToken<TraceProfile> kTraceProfileTokens[] = {
+    {"ciso-march", TraceProfile::kCisoMarch},
+    {"ciso-september", TraceProfile::kCisoSeptember},
+    {"eso-march", TraceProfile::kEsoMarch},
+};
+
+// The trace's name ("US-CISO-March", ...).
 const char* TraceProfileName(TraceProfile profile);
 
+// Every generated trace samples the intensity every 300 s (grid operators
+// publish ~5-min data).
 struct TraceGeneratorOptions {
   double duration_hours = 48.0;
-  double sample_interval_s = 300.0;  // grid operators publish ~5-min data
   std::uint64_t seed = 42;
 };
 
@@ -57,13 +66,12 @@ CarbonTrace GenerateTrace(TraceProfile profile,
 
 // Constant intensity: any carbon saving must come from serving the same
 // load with less energy, not from shifting work to cleaner hours.
-CarbonTrace FlatTrace(double g_per_kwh, double duration_hours,
-                      double sample_interval_s = 300.0);
+CarbonTrace FlatTrace(double g_per_kwh, double duration_hours);
 
 // Square wave alternating `low` and `high` gCO2/kWh every `period_hours`,
 // starting low. Each edge is a guaranteed reoptimization trigger.
 CarbonTrace StepTrace(double low, double high, double period_hours,
-                      double duration_hours, double sample_interval_s = 300.0);
+                      double duration_hours);
 
 // --- Region presets (multi-region fleet serving) -------------------------
 //

@@ -7,6 +7,21 @@
 #include "perf/perf_model.h"
 
 namespace clover::core {
+namespace {
+
+// Blind probes evaluated on the very first invocation (the paper's "starts
+// blindly"): random raw-space configurations that let the annealer open
+// far from the conservative BASE incumbent.
+constexpr int kColdStartProbes = 5;
+
+// A winner is only committed when its nominal capacity exceeds the arrival
+// rate by this factor; otherwise the controller redeploys the last
+// SLA-compliant configuration (Clover "must guarantee" the SLA, Sec. 4.1 —
+// a near-saturation config would build an unbounded backlog even if a
+// short measurement window looked compliant).
+constexpr double kCapacityMargin = 1.1;
+
+}  // namespace
 
 Controller::Controller(sim::ClusterSim* sim, const models::ModelZoo* zoo,
                        const carbon::CarbonTrace* trace,
@@ -16,7 +31,7 @@ Controller::Controller(sim::ClusterSim* sim, const models::ModelZoo* zoo,
       zoo_(zoo),
       params_(params),
       options_(options),
-      monitor_(trace, options.ci_trigger),
+      monitor_(trace),
       mapper_(zoo, sim->num_gpus()),
       sampler_(&mapper_, options.seed),
       probe_rng_(options.seed, "cold-start-probes"),
@@ -31,7 +46,7 @@ Controller::Controller(sim::ClusterSim* sim, const models::ModelZoo* zoo,
   // must then be the highest-capacity configuration (CO2OPT: finest
   // partition, smallest variant) rather than the overloaded incumbent.
   const double min_capacity =
-      options_.capacity_margin * sim_->options().arrival_rate_qps;
+      kCapacityMargin * sim_->options().arrival_rate_qps;
   if (graph::NominalCapacityQps(last_compliant_, *zoo_) < min_capacity) {
     last_compliant_ = graph::ConfigGraph::FromDeployment(
         serving::MakeCo2Opt(sim_->deployment().app, sim_->num_gpus(), *zoo_),
@@ -109,7 +124,7 @@ std::optional<OptimizationRun> Controller::Step() {
   const graph::ConfigGraph center =
       graph::ConfigGraph::FromDeployment(sim_->deployment(), *zoo_);
   const double min_capacity =
-      options_.capacity_margin * sim_->options().arrival_rate_qps;
+      kCapacityMargin * sim_->options().arrival_rate_qps;
   std::vector<graph::ConfigGraph> seeds{center};
   if (history_.empty() && options_.scheme == Scheme::kClover) {
     // Canonical probes any operator would try first: the carbon-optimal
@@ -132,7 +147,7 @@ std::optional<OptimizationRun> Controller::Step() {
             *zoo_));
       }
     }
-    for (int i = 0; i < options_.cold_start_probes; ++i) {
+    for (int i = 0; i < kColdStartProbes; ++i) {
       // Blind, but not suicidal: probes must have the capacity to serve the
       // offered load, else the probe itself builds a backlog that poisons
       // every subsequent measurement.
@@ -175,10 +190,6 @@ std::optional<OptimizationRun> Controller::Step() {
 
   CLOVER_TRACE_VSPAN("opt.invocation", run.start_s, run.end_s);
   CLOVER_OBS_COUNT("opt.invocations", 1);
-  CLOVER_OBS_GAUGE("opt.best_f", run.search.best_f);
-  // Control boundary: the invocation (and everything the sim did to reach
-  // it) is complete, so the fold is deterministic here.
-  CLOVER_OBS_SAMPLE(run.end_s);
 
   CLOVER_INFO("invocation " << run.invocation << " @ci=" << run.ci
                             << " evals=" << run.search.evaluations.size()

@@ -57,18 +57,7 @@ class Controller {
  public:
   struct Options {
     Scheme scheme = Scheme::kClover;
-    double ci_trigger = 0.05;           // 5% relative change
     double measure_window_s = 12.0;     // per-candidate measurement
-    // Blind probes evaluated on the very first invocation (the paper's
-    // "starts blindly"): random raw-space configurations that let the
-    // annealer open far from the conservative BASE incumbent.
-    int cold_start_probes = 5;
-    // A winner is only committed when its nominal capacity exceeds the
-    // arrival rate by this factor; otherwise the controller redeploys the
-    // last SLA-compliant configuration (Clover "must guarantee" the SLA,
-    // Sec. 4.1 — a near-saturation config would build an unbounded backlog
-    // even if a short measurement window looked compliant).
-    double capacity_margin = 1.1;
     // Screen-then-simulate factor for the search (1 = off). When > 1, the
     // controller builds an analytic surrogate (opt/surrogate.h) matched to
     // the production workload and installs it on the search: each proposal

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 #include "perf/calibration.h"
 #include "sim/arrivals.h"
 
@@ -208,7 +209,7 @@ ExperimentRun::ExperimentRun(ExperimentHarness* harness,
   } else if (config.scheme == Scheme::kOracle) {
     oracle_ = &harness->OracleFor(config.app, config.num_gpus,
                                   calibration_.arrival_rate_qps, config.seed);
-    oracle_monitor_.emplace(trace, config.controller.ci_trigger);
+    oracle_monitor_.emplace(trace);
     oracle_mapper_.emplace(zoo, config.num_gpus);
     const OracleEntry& entry = oracle_->Select(params_, trace->At(0.0));
     const auto deployment = oracle_mapper_->ToDeployment(entry.graph);
@@ -242,7 +243,12 @@ double ExperimentRun::FireNextBoundary() {
   const double target = std::min(boundaries_[fired_], duration_s_);
   if (target > sim_->now()) sim_->AdvanceTo(target);
   if (controller_ != nullptr) {
-    controller_->Step();
+    // Control boundary of a single cluster: the invocation (and everything
+    // the sim did to reach it) is complete and no other thread writes to
+    // this run's metrics, so the fold is deterministic here. A fleet steps
+    // its controllers itself and samples only at its barrier.
+    if (const std::optional<OptimizationRun> run = controller_->Step())
+      CLOVER_OBS_SAMPLE(run->end_s);
   } else if (oracle_ != nullptr &&
              oracle_monitor_->ShouldReoptimize(sim_->now())) {
     const OracleEntry& entry = oracle_->Select(

@@ -9,6 +9,8 @@
 
 #include <string_view>
 
+#include "common/tokens.h"
+
 namespace clover::core {
 
 enum class Scheme {
@@ -21,6 +23,13 @@ enum class Scheme {
 
 inline constexpr int kNumSchemes = 5;
 
+inline constexpr EnumToken<Scheme> kSchemeTokens[] = {
+    {"base", Scheme::kBase},     {"co2opt", Scheme::kCo2Opt},
+    {"blover", Scheme::kBlover}, {"clover", Scheme::kClover},
+    {"oracle", Scheme::kOracle},
+};
+
+// Display name for tables and reports ("BASE", "CLOVER", ...).
 std::string_view SchemeName(Scheme scheme);
 
 }  // namespace clover::core

@@ -19,72 +19,12 @@ std::string NumToken(double value) {
   return std::string(buffer, end);
 }
 
-struct NamedScheme {
-  const char* token;
-  core::Scheme scheme;
-};
-constexpr NamedScheme kSchemes[] = {
-    {"base", core::Scheme::kBase},     {"co2opt", core::Scheme::kCo2Opt},
-    {"blover", core::Scheme::kBlover}, {"clover", core::Scheme::kClover},
-    {"oracle", core::Scheme::kOracle},
-};
-
-struct NamedApp {
-  const char* token;
-  models::Application app;
-};
-constexpr NamedApp kApps[] = {
-    {"detection", models::Application::kDetection},
-    {"language", models::Application::kLanguage},
-    {"classification", models::Application::kClassification},
-};
-
-struct NamedRouter {
-  const char* token;
-  fleet::RouterPolicy policy;
-};
-constexpr NamedRouter kRouters[] = {
-    {"static", fleet::RouterPolicy::kStatic},
-    {"least-loaded", fleet::RouterPolicy::kLeastLoaded},
-    {"carbon-greedy", fleet::RouterPolicy::kCarbonGreedy},
-};
-
-const char* SchemeToken(core::Scheme scheme) {
-  for (const NamedScheme& entry : kSchemes)
-    if (entry.scheme == scheme) return entry.token;
-  return "?";
-}
-
-const char* AppToken(models::Application app) {
-  for (const NamedApp& entry : kApps)
-    if (entry.app == app) return entry.token;
-  return "?";
-}
-
-const char* RouterToken(fleet::RouterPolicy policy) {
-  for (const NamedRouter& entry : kRouters)
-    if (entry.policy == policy) return entry.token;
-  return "?";
-}
-
-// The synthetic grid profiles addressable as single-cluster traces. Region
-// presets (us-west, ...) are resolved through carbon::FindRegionPreset.
-const carbon::TraceProfile* FindProfile(const std::string& name) {
-  static const struct {
-    const char* token;
-    carbon::TraceProfile profile;
-  } kProfiles[] = {
-      {"ciso-march", carbon::TraceProfile::kCisoMarch},
-      {"ciso-september", carbon::TraceProfile::kCisoSeptember},
-      {"eso-march", carbon::TraceProfile::kEsoMarch},
-  };
-  for (const auto& entry : kProfiles)
-    if (name == entry.token) return &entry.profile;
-  return nullptr;
-}
-
+// Single-cluster traces: the two analytic shapes, the synthetic grid
+// profiles, and the region presets (resolved through
+// carbon::FindRegionPreset).
 bool KnownTrace(const std::string& name) {
-  return name == "flat" || name == "step" || FindProfile(name) != nullptr ||
+  return name == "flat" || name == "step" ||
+         ParseToken(carbon::kTraceProfileTokens, name).has_value() ||
          carbon::FindRegionPreset(name) != nullptr;
 }
 
@@ -94,20 +34,20 @@ std::string CellSpec::Name() const {
   std::string name;
   if (mode == CampaignMode::kFleet) {
     name = "fleet-";
-    name += SchemeToken(scheme);
+    name += TokenOf(core::kSchemeTokens, scheme);
     name += "-";
-    name += AppToken(app);
+    name += TokenOf(models::kApplicationTokens, app);
     name += "-";
-    name += RouterToken(router);
+    name += TokenOf(fleet::kRouterPolicyTokens, router);
     name += "-";
     for (std::size_t i = 0; i < regions.size(); ++i) {
       if (i) name += "+";
       name += regions[i];
     }
   } else {
-    name = SchemeToken(scheme);
+    name = TokenOf(core::kSchemeTokens, scheme);
     name += "-";
-    name += AppToken(app);
+    name += TokenOf(models::kApplicationTokens, app);
     name += "-";
     name += trace;
   }
@@ -140,7 +80,7 @@ std::string CellSpec::Describe() const {
     if (region_replicas != 1)
       text += " x " + std::to_string(region_replicas);
     text += ") under ";
-    text += RouterToken(router);
+    text += TokenOf(fleet::kRouterPolicyTokens, router);
     text += ", " + std::to_string(gpus) + " GPUs/region";
     if (meanfield) text += ", mean-field";
   } else {
@@ -187,36 +127,23 @@ std::vector<const JsonValue*> AxisValues(const JsonValue& axis) {
   return values;
 }
 
-core::Scheme ParseScheme(const JsonValue& value) {
+// The enum value a token axis element names; `what` labels the error.
+template <typename Enum, std::size_t N>
+Enum ParseTokenValue(const JsonValue& value, const EnumToken<Enum> (&table)[N],
+                     const char* what) {
   const std::string& token = value.AsString();
-  for (const NamedScheme& entry : kSchemes)
-    if (token == entry.token) return entry.scheme;
-  value.Fail("unknown scheme \"" + token +
-             "\" (want base|co2opt|blover|clover|oracle)");
-}
-
-models::Application ParseApp(const JsonValue& value) {
-  const std::string& token = value.AsString();
-  for (const NamedApp& entry : kApps)
-    if (token == entry.token) return entry.app;
-  value.Fail("unknown app \"" + token +
-             "\" (want detection|language|classification)");
-}
-
-fleet::RouterPolicy ParseRouter(const JsonValue& value) {
-  const std::string& token = value.AsString();
-  for (const NamedRouter& entry : kRouters)
-    if (token == entry.token) return entry.policy;
-  value.Fail("unknown router \"" + token +
-             "\" (want static|least-loaded|carbon-greedy)");
+  if (const std::optional<Enum> parsed = ParseToken(table, token))
+    return *parsed;
+  value.Fail(std::string("unknown ") + what + " \"" + token + "\" (want " +
+             TokenList(table) + ")");
 }
 
 std::string ParseTraceName(const JsonValue& value) {
   const std::string& token = value.AsString();
   if (!KnownTrace(token))
-    value.Fail("unknown trace preset \"" + token +
-               "\" (want flat|step|ciso-march|ciso-september|eso-march or a "
-               "named region preset)");
+    value.Fail("unknown trace preset \"" + token + "\" (want flat|step|" +
+               TokenList(carbon::kTraceProfileTokens) +
+               " or a named region preset)");
   return token;
 }
 
@@ -395,11 +322,12 @@ CampaignSpec ParseCampaignSpec(const JsonValue& doc) {
 
   std::vector<core::Scheme> schemes;
   for (const JsonValue* value : axis("scheme"))
-    schemes.push_back(ParseScheme(*value));
+    schemes.push_back(ParseTokenValue(*value, core::kSchemeTokens, "scheme"));
   if (schemes.empty()) grid.Fail("grid is missing the \"scheme\" axis");
 
   std::vector<models::Application> apps;
-  for (const JsonValue* value : axis("app")) apps.push_back(ParseApp(*value));
+  for (const JsonValue* value : axis("app"))
+    apps.push_back(ParseTokenValue(*value, models::kApplicationTokens, "app"));
   if (apps.empty()) grid.Fail("grid is missing the \"app\" axis");
 
   std::vector<std::string> traces;
@@ -421,7 +349,8 @@ CampaignSpec ParseCampaignSpec(const JsonValue& doc) {
       region_lists.push_back(ParseRegionList(list));
     if (region_lists.empty()) regions->Fail("axis must not be empty");
     for (const JsonValue* value : axis("router"))
-      routers.push_back(ParseRouter(*value));
+      routers.push_back(
+          ParseTokenValue(*value, fleet::kRouterPolicyTokens, "router"));
     if (routers.empty()) routers.push_back(fleet::RouterPolicy::kStatic);
     for (const JsonValue* value : axis("fidelity")) {
       const std::string& token = value->AsString();
@@ -583,7 +512,8 @@ carbon::CarbonTrace MakeCellTrace(const CellSpec& cell) {
   // The same offset bench_util's EvalTrace applies, so a campaign cell and
   // the corresponding bench run consume bit-identical traces.
   options.seed = cell.seed + 41;
-  if (const carbon::TraceProfile* profile = FindProfile(cell.trace))
+  if (const std::optional<carbon::TraceProfile> profile =
+          ParseToken(carbon::kTraceProfileTokens, cell.trace))
     return carbon::GenerateTrace(*profile, options);
   const carbon::RegionPreset* preset = carbon::FindRegionPreset(cell.trace);
   CLOVER_CHECK_MSG(preset != nullptr, "unknown trace preset " << cell.trace);

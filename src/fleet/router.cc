@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 
 #include "common/check.h"
 
@@ -52,10 +53,8 @@ std::vector<double> NormalizeExact(std::vector<double> alloc) {
   return alloc;
 }
 
-double SafeCapacity(const RegionSnapshot& region,
-                    const RouterOptions& options) {
-  const double margin = std::max(1.0, options.capacity_margin);
-  return region.capacity_qps / margin;
+double SafeCapacity(const RegionSnapshot& region) {
+  return region.capacity_qps / kRouterCapacityMargin;
 }
 
 // The bits of a non-NaN double, mapped so unsigned order is value order
@@ -156,7 +155,7 @@ std::vector<double> LeastLoadedRouter::Split(
   for (std::size_t i : eligible) {
     // Derate by the backlog measured in seconds-of-work at capacity: a
     // region one full second behind gets half its share until it drains.
-    const double cap = SafeCapacity(regions[i], options);
+    const double cap = SafeCapacity(regions[i]);
     const double backlog_s =
         regions[i].capacity_qps > 0.0
             ? regions[i].queue_depth / regions[i].capacity_qps
@@ -200,7 +199,7 @@ std::vector<double> CarbonGreedyRouter::Split(
       headroom = std::max(
           0.0, 1.0 - regions[i].latency_penalty_ms / options.slo_budget_ms);
     const double take =
-        std::min(remaining, SafeCapacity(regions[i], options) * headroom);
+        std::min(remaining, SafeCapacity(regions[i]) * headroom);
     alloc[i] = take;
     remaining -= take;
     if (remaining <= 0.0) break;
@@ -219,19 +218,15 @@ std::vector<double> CarbonGreedyRouter::Split(
 }
 
 const char* RouterPolicyName(RouterPolicy policy) {
-  switch (policy) {
-    case RouterPolicy::kStatic: return "static";
-    case RouterPolicy::kLeastLoaded: return "least-loaded";
-    case RouterPolicy::kCarbonGreedy: return "carbon-greedy";
-  }
-  return "?";
+  return TokenOf(kRouterPolicyTokens, policy);
 }
 
 RouterPolicy ParseRouterPolicy(const std::string& name) {
-  if (name == "static") return RouterPolicy::kStatic;
-  if (name == "least-loaded") return RouterPolicy::kLeastLoaded;
-  if (name == "carbon-greedy") return RouterPolicy::kCarbonGreedy;
-  CLOVER_CHECK_MSG(false, "unknown router policy '" << name << "'");
+  const std::optional<RouterPolicy> policy =
+      ParseToken(kRouterPolicyTokens, name);
+  CLOVER_CHECK_MSG(policy.has_value(),
+                   "unknown router policy '" << name << "'");
+  return *policy;
 }
 
 std::unique_ptr<Router> MakeRouter(RouterPolicy policy) {

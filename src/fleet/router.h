@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "common/tokens.h"
+
 namespace clover::fleet {
 
 // Router-visible state of one region at a rebalance point, identified by
@@ -33,15 +35,17 @@ struct RegionSnapshot {
   double static_weight = 1.0;       // operator prior for the static policy
 };
 
+// A region is offered at most capacity_qps / kRouterCapacityMargin, so
+// local bursts and optimizer probes retain headroom. Only when the whole
+// fleet is saturated past its margins does the overflow spill
+// proportionally. The margin keeps a region at/below ~69% of nominal
+// capacity — under the 75% the SLA is calibrated at, where the queueing
+// tail is still flat; margins below 1/0.75 let the router run a region
+// hotter than the calibration point and the window p95 inflates past the
+// SLO.
+inline constexpr double kRouterCapacityMargin = 1.45;
+
 struct RouterOptions {
-  // A region is offered at most capacity_qps / capacity_margin, so local
-  // bursts and optimizer probes retain headroom. Only when the whole fleet
-  // is saturated past its margins does the overflow spill proportionally.
-  // The default keeps a region at/below ~69% of nominal capacity — under
-  // the 75% the SLA is calibrated at, where the queueing tail is still
-  // flat; margins below 1/0.75 let the router run a region hotter than the
-  // calibration point and the window p95 inflates past the SLO.
-  double capacity_margin = 1.45;
   // End-to-end latency budget (ms). Regions whose network penalty alone
   // exceeds the budget are bypassed unless no region fits it. 0 = none.
   double slo_budget_ms = 0.0;
@@ -100,10 +104,15 @@ enum class RouterPolicy {
   kCarbonGreedy = 2,
 };
 
+inline constexpr EnumToken<RouterPolicy> kRouterPolicyTokens[] = {
+    {"static", RouterPolicy::kStatic},
+    {"least-loaded", RouterPolicy::kLeastLoaded},
+    {"carbon-greedy", RouterPolicy::kCarbonGreedy},
+};
+
 const char* RouterPolicyName(RouterPolicy policy);
 
-// Parses a policy name ("static" | "least-loaded" | "carbon-greedy");
-// nullptr result semantics are awkward for an enum, so unknown names throw.
+// Parses a policy token; unknown names throw.
 RouterPolicy ParseRouterPolicy(const std::string& name);
 
 std::unique_ptr<Router> MakeRouter(RouterPolicy policy);

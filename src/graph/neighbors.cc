@@ -7,6 +7,14 @@
 #include "perf/perf_model.h"
 
 namespace clover::graph {
+namespace {
+
+// Proposals Sample draws before giving up on a center.
+constexpr int kMaxAttempts = 64;
+// Probability SampleRandomConfiguration leaves a slice empty.
+constexpr double kEmptySliceProbability = 0.1;
+
+}  // namespace
 
 NeighborSampler::NeighborSampler(GraphMapper* mapper, std::uint64_t seed)
     : NeighborSampler(mapper, seed, Options()) {}
@@ -142,7 +150,7 @@ int NeighborSampler::ApplyRandomMove(ConfigGraph& graph) {
 }
 
 std::optional<ConfigGraph> NeighborSampler::Sample(const ConfigGraph& center) {
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     ConfigGraph candidate = center;
     const int ged_used = ApplyRandomMove(candidate);
     if (ged_used == 0 || ged_used > options_.max_ged) continue;
@@ -164,8 +172,7 @@ std::optional<ConfigGraph> NeighborSampler::Sample(const ConfigGraph& center) {
 }
 
 ConfigGraph SampleRandomConfiguration(GraphMapper& mapper, RngStream& rng,
-                                      models::Application app,
-                                      double empty_slice_probability) {
+                                      models::Application app) {
   const models::ModelFamily& family = mapper.zoo().ForApplication(app);
   const auto& table = mig::MigConfigTable::Get();
   for (;;) {
@@ -176,7 +183,7 @@ ConfigGraph SampleRandomConfiguration(GraphMapper& mapper, RngStream& rng,
           1 + static_cast<int>(rng.NextBounded(
                   static_cast<std::uint64_t>(table.NumLayouts())));
       for (mig::SliceType slice : table.Layout(layout_id).slices) {
-        if (rng.NextDouble() < empty_slice_probability) continue;
+        if (rng.NextDouble() < kEmptySliceProbability) continue;
         std::vector<int> fitting;
         for (int v = 0; v < family.NumVariants(); ++v)
           if (perf::PerfModel::Fits(family.Variant(v), slice))

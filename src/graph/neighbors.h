@@ -35,9 +35,6 @@ class NeighborSampler {
  public:
   struct Options {
     int max_ged = kNeighborhoodGed;
-    // Proposals drawn before giving up on a center (a center whose whole
-    // neighborhood is infeasible is pathological but possible).
-    int max_attempts = 64;
     // Probability of composing two atomic moves instead of one.
     double second_move_probability = 0.5;
     // Ablation knob: disable the composite split/merge moves so only the
@@ -51,8 +48,9 @@ class NeighborSampler {
   NeighborSampler(GraphMapper* mapper, std::uint64_t seed,
                   const Options& options);
 
-  // Draws a feasible neighbor distinct from `center`, or nullopt when
-  // max_attempts proposals all failed.
+  // Draws a feasible neighbor distinct from `center`, or nullopt when 64
+  // proposals all failed (a center whose whole neighborhood is infeasible
+  // is pathological but possible).
   std::optional<ConfigGraph> Sample(const ConfigGraph& center);
 
  private:
@@ -72,11 +70,10 @@ class NeighborSampler {
 };
 
 // Draws one uniformly random feasible configuration in the raw (x_p, x_v)
-// space: a random layout per GPU, a random fitting variant (or empty) per
-// slice. Used by Blover's random search and by Clover's blind first
-// invocation (paper Sec. 5.2.2: "it starts blindly").
+// space: a random layout per GPU, a random fitting variant per slice (or,
+// with probability 0.1, none). Used by Blover's random search and by
+// Clover's blind first invocation (paper Sec. 5.2.2: "it starts blindly").
 ConfigGraph SampleRandomConfiguration(GraphMapper& mapper, RngStream& rng,
-                                      models::Application app,
-                                      double empty_slice_probability = 0.1);
+                                      models::Application app);
 
 }  // namespace clover::graph

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/tokens.h"
 #include "mig/slice_type.h"
 
 namespace clover::models {
@@ -22,6 +23,13 @@ enum class Application {
 
 inline constexpr int kNumApplications = 3;
 
+inline constexpr EnumToken<Application> kApplicationTokens[] = {
+    {"detection", Application::kDetection},
+    {"language", Application::kLanguage},
+    {"classification", Application::kClassification},
+};
+
+// Display name for tables and reports ("Detection", ...).
 std::string_view ApplicationName(Application app);
 
 struct ModelVariant {

@@ -16,6 +16,10 @@ namespace clover::net {
 namespace {
 
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
+// Queued-output cap per connection before reads are paused (backpressure).
+constexpr std::size_t kMaxOutBufferBytes = 1 << 20;
+// Max epoll events drained per Poll() call.
+constexpr int kMaxEvents = 64;
 
 void SetNoDelay(int fd) {
   int one = 1;
@@ -24,11 +28,8 @@ void SetNoDelay(int fd) {
 
 }  // namespace
 
-EpollServer::EpollServer(const EpollServerOptions& options,
-                         FrameHandler on_frame, CloseHandler on_close)
-    : options_(options),
-      on_frame_(std::move(on_frame)),
-      on_close_(std::move(on_close)) {
+EpollServer::EpollServer(FrameHandler on_frame, CloseHandler on_close)
+    : on_frame_(std::move(on_frame)), on_close_(std::move(on_close)) {
   CLOVER_CHECK_MSG(on_frame_ != nullptr, "EpollServer needs a frame handler");
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   CLOVER_CHECK_MSG(epoll_fd_ >= 0, "epoll_create1 failed");
@@ -78,11 +79,10 @@ std::uint16_t EpollServer::Listen() {
 
 int EpollServer::Poll(int timeout_ms) {
   if (epoll_fd_ < 0) return 0;
-  epoll_event events[256];
-  const int cap = options_.max_events < 256 ? options_.max_events : 256;
+  epoll_event events[kMaxEvents];
   int n;
   do {
-    n = ::epoll_wait(epoll_fd_, events, cap > 0 ? cap : 1, timeout_ms);
+    n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
   } while (n < 0 && errno == EINTR);
   if (n <= 0) return 0;
 
@@ -222,10 +222,9 @@ void EpollServer::UpdateInterest(int fd, Connection* conn) {
   // (hysteresis so a connection hovering at the threshold doesn't flap).
   const bool want_write = !conn->out.empty();
   bool reads_paused = conn->reads_paused;
-  if (!reads_paused && conn->out.size() > options_.max_out_buffer_bytes) {
+  if (!reads_paused && conn->out.size() > kMaxOutBufferBytes) {
     reads_paused = true;
-  } else if (reads_paused &&
-             conn->out.size() < options_.max_out_buffer_bytes / 2) {
+  } else if (reads_paused && conn->out.size() < kMaxOutBufferBytes / 2) {
     reads_paused = false;
   }
   if (want_write == conn->want_write && reads_paused == conn->reads_paused) {

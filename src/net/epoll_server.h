@@ -9,7 +9,7 @@
 // eventfd; the reactor owns the actual write() calls.
 //
 // Backpressure is the standard TCP two-step: when a connection's queued
-// output exceeds `max_out_buffer_bytes` (a slow reader), the reactor stops
+// output exceeds 1 MiB (a slow reader), the reactor stops
 // reading from that connection (EPOLLIN off). Its send window fills, the
 // client's write() starts returning EAGAIN, and the client must drain
 // responses before it can offer more load. Reading resumes once the queue
@@ -34,13 +34,6 @@
 
 namespace clover::net {
 
-struct EpollServerOptions {
-  // Queued-output cap per connection before reads are paused (backpressure).
-  std::size_t max_out_buffer_bytes = 1 << 20;
-  // Max epoll events drained per Poll() call.
-  int max_events = 64;
-};
-
 class EpollServer {
  public:
   // on_frame runs on the Poll() thread for every decoded frame.
@@ -49,8 +42,7 @@ class EpollServer {
   using FrameHandler = std::function<void(int conn_id, const Frame& frame)>;
   using CloseHandler = std::function<void(int conn_id)>;
 
-  EpollServer(const EpollServerOptions& options, FrameHandler on_frame,
-              CloseHandler on_close);
+  EpollServer(FrameHandler on_frame, CloseHandler on_close);
   ~EpollServer();
 
   EpollServer(const EpollServer&) = delete;
@@ -98,7 +90,6 @@ class EpollServer {
   void UpdateInterest(int fd, Connection* conn);
   void CloseConnection(int fd);
 
-  EpollServerOptions options_;
   FrameHandler on_frame_;
   CloseHandler on_close_;
 

@@ -81,7 +81,12 @@ void FrameDecoder::Feed(const std::uint8_t* data, std::size_t size) {
                   buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
     consumed_ = 0;
   }
-  buffer_.insert(buffer_.end(), data, data + size);
+  // resize + memcpy rather than a range insert: GCC 12's LTO build
+  // misreads the inlined insert as an overflowing memmove
+  // (-Wstringop-overflow).
+  const std::size_t old_size = buffer_.size();
+  buffer_.resize(old_size + size);
+  std::memcpy(buffer_.data() + old_size, data, size);
 }
 
 std::optional<Frame> FrameDecoder::Next() {

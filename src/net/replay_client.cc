@@ -20,6 +20,9 @@ namespace clover::net {
 namespace {
 
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
+// Max request frames encoded per pacing round (bounds single-write burst
+// size in flood mode).
+constexpr std::size_t kMaxBurstFrames = 4096;
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -96,7 +99,7 @@ ReplayReport Replay(const std::vector<ScheduledRequest>& schedule,
     // Encode every request whose pacing deadline has passed, round-robin
     // across connections, bounded per round so reads stay interleaved.
     std::size_t burst = 0;
-    while (next < schedule.size() && burst < options.max_burst_frames) {
+    while (next < schedule.size() && burst < kMaxBurstFrames) {
       const auto& req = schedule[next];
       if (options.time_scale > 0.0 &&
           req.virtual_ts_s * options.time_scale > now - start) {

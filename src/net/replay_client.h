@@ -46,9 +46,6 @@ struct ReplayOptions {
   double time_scale = 0.0;    // wall seconds per virtual second; 0 = flood
   double final_beacon_ts_s = 0.0;  // sent after the last request if > 0
   double drain_timeout_s = 30.0;   // wall-clock wait for outstanding acks
-  // Max request frames encoded per pacing round (bounds single-write
-  // burst size in flood mode).
-  std::size_t max_burst_frames = 4096;
 };
 
 struct ReplayReport {

@@ -20,8 +20,6 @@ bool EnvTruthy(const char* value) {
   return s == "1" || s == "on" || s == "ON" || s == "true";
 }
 
-std::atomic<std::size_t> g_next_shard{0};
-
 }  // namespace
 
 bool Enabled() {
@@ -37,23 +35,10 @@ void SetEnabled(bool on) {
   g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
-namespace internal {
-
-std::size_t ShardIndex() {
-  thread_local std::size_t index =
-      g_next_shard.fetch_add(1, std::memory_order_relaxed);
-  return index;
-}
-
-}  // namespace internal
-
 LogHistogramQuantile Histogram::Fold() const {
   LogHistogramQuantile folded;
   for (std::size_t bin = 0; bin < LogHistogramQuantile::kNumBins; ++bin) {
-    std::uint64_t total = 0;
-    for (const Shard& s : shards_) {
-      total += s.bins[bin].load(std::memory_order_relaxed);
-    }
+    const std::uint64_t total = bins_[bin].load(std::memory_order_relaxed);
     if (total > 0) {
       folded.Add(LogHistogramQuantile::BinRepresentative(bin), total);
     }
@@ -61,27 +46,15 @@ LogHistogramQuantile Histogram::Fold() const {
   return folded;
 }
 
-std::uint64_t Histogram::FoldCount() const {
-  std::uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    total += s.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 void Histogram::Reset() {
-  for (Shard& s : shards_) {
-    for (auto& bin : s.bins) bin.store(0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
-  }
+  for (auto& bin : bins_) bin.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
 }
 
 const char* MetricKindName(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter:
       return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
     case MetricKind::kHistogram:
       return "histogram";
   }
@@ -106,15 +79,6 @@ Counter* Registry::GetCounter(std::string_view name) {
   return it->second.get();
 }
 
-Gauge* Registry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
-}
-
 Histogram* Registry::GetHistogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
@@ -129,7 +93,7 @@ Snapshot Registry::Fold(double ts_s) const {
   Snapshot snap;
   snap.ts_s = ts_s;
   std::lock_guard<std::mutex> lock(mu_);
-  snap.rows.reserve(counters_.size() + gauges_.size() + histograms_.size());
+  snap.rows.reserve(counters_.size() + histograms_.size());
   // std::map iteration is name-sorted, so rows come out deterministically
   // ordered regardless of registration order (which varies with thread
   // schedule when two sites register concurrently).
@@ -138,13 +102,6 @@ Snapshot Registry::Fold(double ts_s) const {
     row.name = name;
     row.kind = MetricKind::kCounter;
     row.count = counter->Fold();
-    snap.rows.push_back(std::move(row));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    SnapshotRow row;
-    row.name = name;
-    row.kind = MetricKind::kGauge;
-    row.value = gauge->Fold();
     snap.rows.push_back(std::move(row));
   }
   for (const auto& [name, histogram] : histograms_) {
@@ -196,13 +153,8 @@ void WriteRows(JsonWriter* w, const std::vector<SnapshotRow>& rows) {
     w->String(row.name);
     w->Key("kind");
     w->String(MetricKindName(row.kind));
-    if (row.kind == MetricKind::kGauge) {
-      w->Key("value");
-      w->Number(row.value);
-    } else {
-      w->Key("count");
-      w->UInt(row.count);
-    }
+    w->Key("count");
+    w->UInt(row.count);
     if (row.kind == MetricKind::kHistogram) {
       w->Key("p50");
       w->Number(row.p50);
@@ -264,7 +216,6 @@ bool Registry::WriteMetricsJson(const std::string& path) const {
 void Registry::ResetForTest() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& entry : counters_) entry.second->Reset();
-  for (auto& entry : gauges_) entry.second->Reset();
   for (auto& entry : histograms_) entry.second->Reset();
   snapshots_.clear();
   snapshots_dropped_ = 0;

@@ -1,30 +1,22 @@
-// Lock-free metrics registry: named counters, gauges and histograms that
-// hot paths update with ~one relaxed atomic store, folded into timestamped
-// snapshot rows at control/epoch boundaries.
+// Lock-free metrics registry: named counters and histograms that
+// instrumented sites update with one or two relaxed atomic fetch_adds,
+// folded into timestamped snapshot rows at control/epoch boundaries.
 //
-// The accumulator design is the `latency_store` recipe generalized to
-// arbitrary named metrics:
+//   * One accumulator per metric. A counter is one atomic word; a
+//     histogram is an atomic copy of LogHistogramQuantile's bin array plus
+//     an observation count. Every multi-writer site fires once per window,
+//     batch, candidate, invocation or claim, and the one per-request site
+//     (`net.admission.*`) has a single writer, so no site contends enough
+//     to pay for per-thread shards. The live path's one per-event
+//     multi-writer store is common/latency_store.h, which keeps its
+//     per-worker shards.
 //
-//   * Sharded single-writer accumulation. Each metric owns a small fixed
-//     array of cache-line-aligned shards; a thread writes the shard picked
-//     by its registration-order index (mod kNumShards). With fewer writer
-//     threads than shards every shard has one writer and updates are
-//     wait-free relaxed fetch_adds on unshared cache lines. With more
-//     threads than shards two writers may share a shard — still correct
-//     (fetch_add is atomic), merely contended.
-//
-//   * Order-insensitive folds. Counters fold by integer sum; histograms
-//     keep atomic copies of LogHistogramQuantile's bin array (same
-//     geometry via BinIndex/BinRepresentative) so the fold is bit-identical
-//     to a serial histogram fed the same multiset of observations,
-//     whatever the thread schedule. That property is what lets the ctest
-//     bit-identity gates stay green with instrumentation enabled.
-//
-//   * Gauges store the raw double bits in a per-shard atomic word
-//     (last-write-wins per shard) and fold by summing shard values in
-//     fixed shard order; for the intended single-logical-writer gauges the
-//     fold equals the last written value exactly (unwritten shards hold
-//     the bit pattern of +0.0).
+//   * Order-insensitive folds. Counters fold by integer sum; a histogram
+//     rebuilds a LogHistogramQuantile (same geometry via
+//     BinIndex/BinRepresentative) bit-identical to a serial histogram fed
+//     the same multiset of observations, whatever the thread schedule.
+//     That property is what lets the ctest bit-identity gates stay green
+//     with instrumentation enabled.
 //
 // Enablement is two-level. Compile-time: building with -DCLOVER_OBS=OFF
 // defines CLOVER_OBS_BUILD=0 and every CLOVER_OBS_* macro below expands to
@@ -34,18 +26,20 @@
 // touching its metric, so a compiled-in but disabled run pays one
 // well-predicted branch per site.
 //
-// Determinism contract: folds that race live writers see each shard at
-// some valid point but not one instant's cut, exactly like
-// ShardedLatencyStore. Registry::Sample is therefore only called at
-// barriers (epoch merges, post-ParallelFor joins, control steps) where the
-// instrumented work completed so far is a deterministic function of the
-// seed — making the snapshot rows themselves reproducible across thread
-// counts (tests/obs_test.cc pins this).
+// Determinism contract: a fold that races live writers sees each metric
+// at some valid point but not one instant's cut. Registry::Sample is
+// therefore only called where no other thread writes: a single-cluster
+// run samples at the end of each optimizer invocation, a fleet at each
+// control barrier (after its region fan-out joined), a campaign after its
+// slots joined. There the recorded work is a deterministic function of the
+// spec, so a fleet's snapshot rows reproduce across its thread count
+// (tests/obs_test.cc pins this). In a multi-slot campaign and on the live
+// path other threads write between samples; there only the campaign's
+// post-join sample is a function of the spec.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -65,74 +59,21 @@ namespace clover::obs {
 bool Enabled();
 void SetEnabled(bool on);
 
-namespace internal {
-// Stable per-thread shard index: assigned from a process-wide counter on
-// the thread's first metric write, so each thread keeps hitting the same
-// shard (single-writer in the common case; see file comment).
-std::size_t ShardIndex();
-}  // namespace internal
-
 // Monotonic event counter. Add is wait-free (one relaxed fetch_add).
 class Counter {
  public:
-  static constexpr std::size_t kNumShards = 16;
-
   void Add(std::uint64_t n = 1) {
-    shards_[internal::ShardIndex() % kNumShards].value.fetch_add(
-        n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  std::uint64_t Fold() const {
-    std::uint64_t total = 0;
-    for (const Shard& s : shards_) {
-      total += s.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  std::uint64_t Fold() const { return value_.load(std::memory_order_relaxed); }
 
   // Not safe concurrent with Add; callers reset between measurement
   // windows with writers quiesced (same contract as ShardedLatencyStore).
-  void Reset() {
-    for (Shard& s : shards_) s.value.store(0, std::memory_order_relaxed);
-  }
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> value{0};
-  };
-  std::array<Shard, kNumShards> shards_{};
-};
-
-// Last-written sampled value. Set stores the double's bit pattern with one
-// relaxed store; Fold sums shard values in fixed shard order (exact for
-// the intended one-logical-writer gauges, since untouched shards hold
-// +0.0).
-class Gauge {
- public:
-  static constexpr std::size_t kNumShards = Counter::kNumShards;
-
-  void Set(double value) {
-    shards_[internal::ShardIndex() % kNumShards].bits.store(
-        std::bit_cast<std::uint64_t>(value), std::memory_order_relaxed);
-  }
-
-  double Fold() const {
-    double total = 0.0;
-    for (const Shard& s : shards_) {
-      total += std::bit_cast<double>(s.bits.load(std::memory_order_relaxed));
-    }
-    return total;
-  }
-
-  void Reset() {
-    for (Shard& s : shards_) s.bits.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> bits{0};  // bit pattern of +0.0
-  };
-  std::array<Shard, kNumShards> shards_{};
+  std::atomic<std::uint64_t> value_{0};
 };
 
 // Value-distribution accumulator in LogHistogramQuantile's bin geometry.
@@ -140,38 +81,32 @@ class Gauge {
 // bit-identical to a serial one fed the same observations.
 class Histogram {
  public:
-  static constexpr std::size_t kNumShards = 4;  // 502 bins/shard; keep small
-
   void Observe(double value) {
-    Shard& s = shards_[internal::ShardIndex() % kNumShards];
-    s.bins[LogHistogramQuantile::BinIndex(value)].fetch_add(
+    bins_[LogHistogramQuantile::BinIndex(value)].fetch_add(
         1, std::memory_order_relaxed);
-    s.count.fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
   }
 
   LogHistogramQuantile Fold() const;
-  std::uint64_t FoldCount() const;
+  std::uint64_t FoldCount() const {
+    return count_.load(std::memory_order_relaxed);
+  }
   void Reset();
 
  private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>, LogHistogramQuantile::kNumBins>
-        bins{};
-    std::atomic<std::uint64_t> count{0};
-  };
-  std::array<Shard, kNumShards> shards_{};
+  std::array<std::atomic<std::uint64_t>, LogHistogramQuantile::kNumBins>
+      bins_{};
+  std::atomic<std::uint64_t> count_{0};
 };
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+enum class MetricKind : std::uint8_t { kCounter, kHistogram };
 
 // One folded metric at one sample point. `count` is the counter value or
-// histogram observation count; `value` is the gauge value; quantiles are
-// histogram-only (0 otherwise).
+// histogram observation count; quantiles are histogram-only (0 otherwise).
 struct SnapshotRow {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
   std::uint64_t count = 0;
-  double value = 0.0;
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
@@ -193,7 +128,6 @@ class Registry {
   static Registry& Get();
 
   Counter* GetCounter(std::string_view name);
-  Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
 
   // Folds every registered metric at timestamp `ts_s` (caller's clock —
@@ -221,9 +155,8 @@ class Registry {
  private:
   Registry() = default;
 
-  mutable std::mutex mu_;  // guards the maps + snapshot log, never Add/Set
+  mutable std::mutex mu_;  // guards the maps + snapshot log, never Add
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::vector<Snapshot> snapshots_;
   std::uint64_t snapshots_dropped_ = 0;
@@ -238,7 +171,7 @@ const char* MetricKindName(MetricKind kind);
 // CLOVER_OBS, default ON); when 0 the macros expand to no-ops that do not
 // evaluate their arguments. When compiled in, each site pays one relaxed
 // atomic bool load while disabled, and one function-local-static handle
-// lookup plus a relaxed fetch_add/store while enabled.
+// lookup plus a relaxed fetch_add while enabled.
 // ---------------------------------------------------------------------------
 #ifndef CLOVER_OBS_BUILD
 #define CLOVER_OBS_BUILD 1
@@ -254,15 +187,6 @@ const char* MetricKindName(MetricKind kind);
       clover_obs_counter_->Add(                                  \
           static_cast<std::uint64_t>(n));                        \
     }                                                            \
-  } while (0)
-
-#define CLOVER_OBS_GAUGE(name_literal, v)                      \
-  do {                                                         \
-    if (::clover::obs::Enabled()) {                            \
-      static ::clover::obs::Gauge* const clover_obs_gauge_ =   \
-          ::clover::obs::Registry::Get().GetGauge(name_literal); \
-      clover_obs_gauge_->Set(static_cast<double>(v));          \
-    }                                                          \
   } while (0)
 
 #define CLOVER_OBS_OBSERVE(name_literal, v)                            \
@@ -291,10 +215,6 @@ const char* MetricKindName(MetricKind kind);
 #define CLOVER_OBS_COUNT(name_literal, n) \
   do {                                    \
     (void)sizeof(n);                      \
-  } while (0)
-#define CLOVER_OBS_GAUGE(name_literal, v) \
-  do {                                    \
-    (void)sizeof(v);                      \
   } while (0)
 #define CLOVER_OBS_OBSERVE(name_literal, v) \
   do {                                      \

@@ -11,11 +11,11 @@
 //     ScopedSpan B/E pairs and instants, and are monotone per thread by
 //     construction.
 //
-//   * pid 1 — VIRTUAL. Simulated seconds, used for sim/twin sections:
-//     epoch windows, optimizer invocations on the virtual timeline. Both
+//   * pid 1 — VIRTUAL. Simulated seconds, used for the optimizer
+//     invocations (`opt.invocation`) on the simulated timeline. Both
 //     endpoints of a virtual interval are known when it closes, so
-//     virtual events are complete ("X", with dur) events or instants —
-//     never open B/E pairs. Virtual seconds are written as trace
+//     virtual events are complete ("X", with dur) events — never open
+//     B/E pairs. Virtual seconds are written as trace
 //     microseconds (scaled 1e6), so Perfetto's "us" axis reads directly
 //     as simulated seconds.
 //
@@ -82,9 +82,6 @@ class Tracer {
   // Convenience emitters (each checks enabled() itself).
   void InstantWall(const char* name) {
     if (enabled()) Emit(name, 'I', TraceClock::kWall, WallNow());
-  }
-  void InstantVirtual(const char* name, double ts_s) {
-    if (enabled()) Emit(name, 'I', TraceClock::kVirtual, ts_s);
   }
   // Closed virtual interval [start_s, end_s] as a complete event.
   void CompleteVirtual(const char* name, double start_s, double end_s) {
@@ -170,15 +167,6 @@ class ScopedSpan {
   ::clover::obs::Tracer::Get().CompleteVirtual(                       \
       name_literal, static_cast<double>(t0), static_cast<double>(t1))
 
-// Instant marker on the virtual timeline.
-#define CLOVER_TRACE_VMARK(name_literal, t)       \
-  ::clover::obs::Tracer::Get().InstantVirtual(    \
-      name_literal, static_cast<double>(t))
-
-// Instant marker on the wall timeline.
-#define CLOVER_TRACE_MARK(name_literal) \
-  ::clover::obs::Tracer::Get().InstantWall(name_literal)
-
 #else  // !CLOVER_OBS_BUILD
 
 #define CLOVER_TRACE_SCOPE(name_literal) \
@@ -188,13 +176,6 @@ class ScopedSpan {
   do {                                           \
     (void)sizeof(t0);                            \
     (void)sizeof(t1);                            \
-  } while (0)
-#define CLOVER_TRACE_VMARK(name_literal, t) \
-  do {                                      \
-    (void)sizeof(t);                        \
-  } while (0)
-#define CLOVER_TRACE_MARK(name_literal) \
-  do {                                  \
   } while (0)
 
 #endif  // CLOVER_OBS_BUILD

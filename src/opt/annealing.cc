@@ -8,6 +8,15 @@
 #include "obs/trace.h"
 
 namespace clover::opt {
+namespace {
+
+// Temperature schedule (see the header): linear cooling from kT0 by
+// kCoolingStep per round, floored at kTMin.
+constexpr double kT0 = 1.0;
+constexpr double kCoolingStep = 0.05;
+constexpr double kTMin = 0.1;
+
+}  // namespace
 std::vector<std::size_t> ScreenCandidates(
     Evaluator* surrogate, const std::vector<graph::ConfigGraph>& pool,
     const ObjectiveParams& params, double ci, std::size_t keep) {
@@ -189,7 +198,7 @@ SearchResult SimulatedAnnealing::Run(
     if (result.elapsed_seconds >= options_.time_budget_s) break;
   }
 
-  double temperature = options_.t0;
+  double temperature = kT0;
   int consecutive_no_improve = 0;
   auto stopped = [&] {
     return result.elapsed_seconds >= options_.time_budget_s ||
@@ -242,8 +251,7 @@ SearchResult SimulatedAnnealing::Run(
       center = candidate;
       center_h = candidate_h;
     }
-    temperature = std::max(options_.t_min,
-                           temperature - options_.cooling_step);
+    temperature = std::max(kTMin, temperature - kCoolingStep);
   }
 
   CLOVER_CHECK(!result.evaluations.empty());

@@ -103,9 +103,6 @@ bool FoldEvaluation(const graph::ConfigGraph& graph,
 class SimulatedAnnealing {
  public:
   struct Options {
-    double t0 = 1.0;
-    double cooling_step = 0.05;
-    double t_min = 0.1;
     int no_improve_limit = 5;
     double time_budget_s = 300.0;  // the paper's 5-minute cap
     int max_evaluations = 1000;    // hard safety stop

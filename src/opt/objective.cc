@@ -6,6 +6,12 @@
 #include "common/units.h"
 
 namespace clover::opt {
+namespace {
+
+// Slope of the accuracy-threshold penalty (per % of excess loss).
+constexpr double kThresholdPenalty = 200.0;
+
+}  // namespace
 
 double CarbonPerRequestG(const EvalMetrics& metrics, double ci, double pue) {
   return CarbonGrams(metrics.energy_per_request_j, ci, pue);
@@ -32,7 +38,7 @@ double ObjectiveF(const EvalMetrics& metrics, const ObjectiveParams& params,
   if (params.max_accuracy_loss_pct.has_value()) {
     const double loss = -d_accuracy;  // positive when below baseline
     const double excess = loss - *params.max_accuracy_loss_pct;
-    if (excess > 0.0) f -= params.threshold_penalty * excess;
+    if (excess > 0.0) f -= kThresholdPenalty * excess;
   }
   return f;
 }

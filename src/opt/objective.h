@@ -12,8 +12,9 @@
 // smooth across the SLA boundary instead of cliffing to -inf.
 //
 // Extension (paper Sec. 5.2.3 / Fig. 14): accuracy loss can be enforced as
-// a hard threshold; the objective subtracts a steep linear penalty beyond
-// the allowed loss so the annealer is driven back into the feasible region.
+// a hard threshold; the objective subtracts a steep linear penalty (200 per
+// % of excess loss) beyond the allowed loss so the annealer is driven back
+// into the feasible region.
 #pragma once
 
 #include <optional>
@@ -35,8 +36,6 @@ struct ObjectiveParams {
   double pue = 1.5;             // applied when converting joules to grams
   // Optional accuracy-threshold mode: maximum allowed accuracy loss (%).
   std::optional<double> max_accuracy_loss_pct;
-  // Slope of the threshold penalty (per % of excess loss).
-  double threshold_penalty = 200.0;
 };
 
 // Per-request carbon footprint (g) of a configuration at intensity `ci`.

@@ -26,8 +26,7 @@ void RandomSearch::SetSurrogate(Evaluator* surrogate) {
 }
 
 graph::ConfigGraph RandomSearch::SampleConfiguration(models::Application app) {
-  return graph::SampleRandomConfiguration(*mapper_, rng_, app,
-                                          options_.empty_slice_probability);
+  return graph::SampleRandomConfiguration(*mapper_, rng_, app);
 }
 
 SearchResult RandomSearch::Run(const graph::ConfigGraph& start,

@@ -33,8 +33,6 @@ class RandomSearch {
     int no_improve_limit = 5;
     double time_budget_s = 300.0;
     int max_evaluations = 1000;
-    // Probability a slice is left empty when sampling x_v.
-    double empty_slice_probability = 0.1;
     // Screen-then-simulate: with a surrogate installed (SetSurrogate) and
     // screen_factor = K > 1, each round samples K candidates, ranks them
     // with the surrogate, and simulates only the top one. 1 disables

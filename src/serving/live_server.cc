@@ -37,10 +37,7 @@ LiveServer::~LiveServer() { Stop(); }
 std::uint16_t LiveServer::Start() {
   CLOVER_CHECK_MSG(!started_, "live server already started");
   started_ = true;
-  net::EpollServerOptions epoll_options;
-  epoll_options.max_out_buffer_bytes = options_.max_out_buffer_bytes;
   epoll_ = std::make_unique<net::EpollServer>(
-      epoll_options,
       [this](int conn_id, const net::Frame& frame) { OnFrame(conn_id, frame); },
       nullptr);
   const std::uint16_t port = epoll_->Listen();

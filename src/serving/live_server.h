@@ -79,7 +79,6 @@ struct LiveServerOptions {
   std::size_t batch_max_requests = 256;
   double batch_flush_us = 200.0;
   net::AdmissionOptions admission;
-  std::size_t max_out_buffer_bytes = 1 << 20;
 };
 
 struct LiveStats {

@@ -24,7 +24,7 @@ ClusterSim::ClusterSim(serving::Deployment initial,
       arrivals_(options.arrival_rate_qps, options.seed, options.burst),
       jitter_rng_(options.seed, "service-jitter"),
       meter_(deployment_.NumGpus()),
-      accountant_(options.pue) {
+      accountant_(perf::kPue) {
   CLOVER_CHECK(trace_ != nullptr);
   deployment_.Validate(zoo);
   CLOVER_CHECK(options_.window_seconds > 0.0);
@@ -228,9 +228,6 @@ void ClusterSim::CloseWindow() {
   windows_.push_back(record);
   window_acc_.Reset();
   window_start_ = window_end;
-  // Window edges are the arena epoch: every transient handed out since the
-  // previous close (fault retry batches, reconfig masks) is dead by now.
-  arena_.Reset();
   // Window close is the sim's own boundary (per-event counters would blow
   // the enabled-but-idle overhead budget; a window covers ~1e5 events).
   CLOVER_OBS_COUNT("sim.windows_closed", 1);
@@ -368,13 +365,9 @@ double ClusterSim::ApplyDeployment(const serving::Deployment& next,
     AdvanceTo(std::min(drain_end, NextFaultTime()));
   }
 
-  // The drain may have closed windows, which resets the arena: allocate the
-  // per-GPU plan arrays only now.
   const auto num_gpus = static_cast<std::size_t>(deployment_.NumGpus());
-  bool* affected = arena_.AllocateArray<bool>(num_gpus);
-  double* offline_s = arena_.AllocateArray<double>(num_gpus);
-  std::fill(affected, affected + num_gpus, false);
-  std::fill(offline_s, offline_s + num_gpus, 0.0);
+  std::vector<bool> affected(num_gpus, false);
+  std::vector<double> offline_s(num_gpus, 0.0);
   for (const serving::GpuReconfigPlan& gpu : plan.gpus) {
     affected[static_cast<std::size_t>(gpu.gpu_index)] = true;
     offline_s[static_cast<std::size_t>(gpu.gpu_index)] = gpu.offline_seconds;
@@ -487,15 +480,14 @@ void ClusterSim::FailGpu(int gpu_index) {
   // completion) is refunded; work performed up to the failure stays
   // billed. The instance's id is retired so the stale completion event
   // still in the heap is swallowed when it fires.
-  double* retried = arena_.AllocateArray<double>(instances_.size());
-  std::size_t num_retried = 0;
+  std::vector<double> retried;
   for (std::size_t i = 0; i < instances_.size(); ++i) {
     SimInstance& instance = instances_[i];
     if (instance.gpu_index != gpu_index) continue;
     ClearAvailable(index_to_position_[i]);
     if (!instance.busy) continue;
     instance.busy = false;
-    retried[num_retried++] = instance.service_enqueue_time;
+    retried.push_back(instance.service_enqueue_time);
     const double unserved_s = instance.service_end_s - now_;
     meter_.RefundBusy(unserved_s, instance.dynamic_watts);
     if (probe_active_) probe_dynamic_j_ -= unserved_s * instance.dynamic_watts;
@@ -510,9 +502,9 @@ void ClusterSim::FailGpu(int gpu_index) {
   }
   // Newest first, so the oldest enqueue time ends up at the queue head and
   // FIFO order is preserved across the retry.
-  std::sort(retried, retried + num_retried,
+  std::sort(retried.begin(), retried.end(),
             [](double a, double b) { return a > b; });
-  for (std::size_t i = 0; i < num_retried; ++i) queue_.push_front(retried[i]);
+  for (double enqueue_time : retried) queue_.push_front(enqueue_time);
   // The survivors pick the backlog up immediately: without this dispatch
   // the queue would starve until the next completion/wake even with idle
   // capacity elsewhere.

@@ -22,7 +22,6 @@
 
 #include "carbon/accountant.h"
 #include "carbon/trace.h"
-#include "common/arena.h"
 #include "common/quantile.h"
 #include "common/rng.h"
 #include "perf/calibration.h"
@@ -54,7 +53,6 @@ struct SimOptions {
   double window_seconds = 300.0;  // metrics/carbon accounting window
   std::uint64_t seed = 1;
   double service_jitter_sigma = perf::kServiceJitterSigma;
-  double pue = perf::kPue;
   BurstOptions burst;  // default: steady Poisson arrivals
   ServiceModel service_model = ServiceModel::kJittered;
   // Adversarial events replayed during the run (sim/fault_injector.h).
@@ -247,9 +245,6 @@ class ClusterSim {
 
   double now_ = 0.0;
   double window_start_ = 0.0;
-  // Bump arena for transients whose lifetime never crosses a window edge
-  // (fault retry batches, reconfiguration masks); Reset in CloseWindow.
-  Arena arena_;
   WindowAccumulator window_acc_;
   std::vector<WindowRecord> windows_;
   power::EnergyMeter meter_;

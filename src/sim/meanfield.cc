@@ -28,7 +28,7 @@ MeanFieldSim::MeanFieldSim(const serving::Deployment& initial,
       num_gpus_(initial.NumGpus()),
       trace_(trace),
       options_(options),
-      accountant_(options.pue) {
+      accountant_(perf::kPue) {
   CLOVER_CHECK(trace_ != nullptr);
   CLOVER_CHECK(num_gpus_ > 0);
   CLOVER_CHECK(options_.window_seconds > 0.0);

@@ -381,13 +381,13 @@ TEST(RegionPresets, BatchedTracesEqualPerRegionGenerator) {
 
 TEST(Monitor, TriggersBeforeFirstAcknowledgement) {
   CarbonTrace trace("t", 300.0, {100.0, 100.0});
-  CarbonMonitor monitor(&trace, 0.05);
+  CarbonMonitor monitor(&trace);
   EXPECT_TRUE(monitor.ShouldReoptimize(0.0));
 }
 
 TEST(Monitor, FivePercentRelativeTrigger) {
   CarbonTrace trace("t", 100.0, {100.0, 104.0, 106.0, 94.0});
-  CarbonMonitor monitor(&trace, 0.05);
+  CarbonMonitor monitor(&trace);
   monitor.AcknowledgeOptimization(0.0);  // reference = 100
   EXPECT_FALSE(monitor.ShouldReoptimize(100.0));  // 104: +4% < 5%
   EXPECT_TRUE(monitor.ShouldReoptimize(200.0));   // 106: +6%

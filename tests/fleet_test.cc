@@ -58,7 +58,7 @@ void ExpectConserved(const std::vector<double>& weights) {
 // Every policy, over representative snapshot sets (including outages and
 // overload), must conserve the routed load exactly.
 TEST(Router, ConservationAcrossPoliciesAndStates) {
-  const RouterOptions options{1.25, 120.0};
+  const RouterOptions options{120.0};
   std::vector<std::vector<RegionSnapshot>> cases;
   cases.push_back({MakeSnapshot(100, 300, 5),
                    MakeSnapshot(250, 300, 30)});
@@ -91,7 +91,7 @@ TEST(Router, ConservationAcrossPoliciesAndStates) {
 }
 
 TEST(Router, SplitsAreDeterministic) {
-  const RouterOptions options{1.25, 120.0};
+  const RouterOptions options{120.0};
   const std::vector<RegionSnapshot> snapshots = {
       MakeSnapshot(210, 280, 5), MakeSnapshot(210, 280, 30),
       MakeSnapshot(95, 140, 45)};
@@ -108,7 +108,7 @@ TEST(Router, SplitsAreDeterministic) {
 // Carbon-greedy fills the cleanest region first but only up to its
 // capacity margin; the rest spills to the next-cleanest.
 TEST(Router, CarbonGreedyRespectsCapacityMargin) {
-  const RouterOptions options{1.25, 0.0};
+  const RouterOptions options{0.0};
   const std::vector<RegionSnapshot> snapshots = {
       MakeSnapshot(80, 200, 5), MakeSnapshot(300, 200, 5)};
   const auto router = MakeRouter(RouterPolicy::kCarbonGreedy);
@@ -117,7 +117,7 @@ TEST(Router, CarbonGreedyRespectsCapacityMargin) {
   const std::vector<double> weights =
       router->Split(snapshots, total, options);
   ExpectConserved(weights);
-  const double safe_cap = 200.0 / 1.25;
+  const double safe_cap = 200.0 / kRouterCapacityMargin;
   EXPECT_NEAR(weights[0] * total, safe_cap, 1e-9);  // clean region capped
   EXPECT_NEAR(weights[1] * total, total - safe_cap, 1e-9);
   EXPECT_GT(weights[0], weights[1]);
@@ -133,7 +133,7 @@ TEST(Router, CarbonGreedyRespectsCapacityMargin) {
 // A region whose network penalty blows the SLO budget is bypassed even if
 // it is the cleanest — unless no region fits the budget at all.
 TEST(Router, CarbonGreedyHonorsLatencyBudget) {
-  RouterOptions options{1.25, 100.0};
+  RouterOptions options{100.0};
   const std::vector<RegionSnapshot> snapshots = {
       MakeSnapshot(60, 300, 450),
       MakeSnapshot(280, 300, 10)};
@@ -153,7 +153,7 @@ TEST(Router, CarbonGreedyHonorsLatencyBudget) {
 }
 
 TEST(Router, LeastLoadedBalancesByCapacityAndBacklog) {
-  const RouterOptions options{1.25, 0.0};
+  const RouterOptions options{0.0};
   std::vector<RegionSnapshot> snapshots = {
       MakeSnapshot(200, 300, 5), MakeSnapshot(100, 100, 5)};
   const auto router = MakeRouter(RouterPolicy::kLeastLoaded);
@@ -172,7 +172,7 @@ TEST(Router, LeastLoadedBalancesByCapacityAndBacklog) {
 }
 
 TEST(Router, StaticUsesPriorsAndRoutesAroundOutages) {
-  const RouterOptions options{1.25, 0.0};
+  const RouterOptions options{0.0};
   std::vector<RegionSnapshot> snapshots = {
       MakeSnapshot(100, 300, 5), MakeSnapshot(300, 300, 30),
       MakeSnapshot(200, 300, 45)};
@@ -224,9 +224,7 @@ std::vector<double> IndexSortGreedySplit(
     const double headroom = std::max(
         0.0, 1.0 - regions[i].latency_penalty_ms / options.slo_budget_ms);
     const double take = std::min(
-        remaining,
-        regions[i].capacity_qps / std::max(1.0, options.capacity_margin) *
-            headroom);
+        remaining, regions[i].capacity_qps / kRouterCapacityMargin * headroom);
     alloc[i] = take;
     remaining -= take;
     if (remaining <= 0.0) break;
@@ -259,7 +257,7 @@ std::vector<double> IndexSortGreedySplit(
 // under the comparator, different in their bits), subnormals, and equal
 // intensities at distinct penalties; fleets run from 1 region to 2000.
 TEST(Router, CarbonGreedyKeySortMatchesIndexSort) {
-  const RouterOptions options{1.45, 120.0};
+  const RouterOptions options{120.0};
   const auto router = MakeRouter(RouterPolicy::kCarbonGreedy);
   constexpr double kTiny = std::numeric_limits<double>::denorm_min();
   const std::vector<double> intensities = {-0.0,  0.0,   kTiny, 1e-310,
@@ -281,7 +279,7 @@ TEST(Router, CarbonGreedyKeySortMatchesIndexSort) {
       std::shuffle(snapshots.begin(), snapshots.end(), rng);
       double safe_total = 0.0;
       for (const RegionSnapshot& snapshot : snapshots)
-        safe_total += snapshot.capacity_qps / options.capacity_margin;
+        safe_total += snapshot.capacity_qps / kRouterCapacityMargin;
       for (const double load : {0.05, 0.4, 0.9, 1.3}) {
         SCOPED_TRACE(load);
         const double total_qps = load * safe_total;

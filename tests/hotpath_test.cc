@@ -1,6 +1,6 @@
-// Unit gates for the simulator hot-path machinery: the bump arena, the
-// SoA event queue, batched Poisson arrival draws, the table-driven
-// histogram bin map, and the ziggurat gaussian. Each of these replaced a
+// Unit gates for the simulator hot-path machinery: the SoA event queue,
+// batched Poisson arrival draws, the table-driven histogram bin map, and
+// the ziggurat gaussian. Each of these replaced a
 // slower-but-obviously-correct implementation; the tests here pin the
 // replacement to its reference so future tuning cannot silently change
 // simulation results.
@@ -12,7 +12,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/quantile.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -25,40 +24,6 @@
 
 namespace clover {
 namespace {
-
-// ---- Arena ----------------------------------------------------------------
-
-TEST(ArenaTest, AlignsAndBumps) {
-  Arena arena(256);
-  auto* a = arena.AllocateArray<std::uint8_t>(3);
-  auto* b = arena.AllocateArray<double>(4);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % alignof(double), 0u);
-  EXPECT_NE(static_cast<void*>(a), static_cast<void*>(b));
-  EXPECT_GE(arena.bytes_used(), 3 + 4 * sizeof(double));
-}
-
-TEST(ArenaTest, ResetReusesTheSameMemory) {
-  Arena arena(1024);
-  void* first = arena.Allocate(100);
-  arena.Allocate(200);
-  const std::size_t reserved = arena.bytes_reserved();
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  // Steady state: the window after Reset allocates from block 0 again
-  // without growing the backing storage.
-  void* again = arena.Allocate(100);
-  EXPECT_EQ(first, again);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(ArenaTest, OversizedRequestGetsDedicatedBlock) {
-  Arena arena(64);
-  const std::size_t blocks_before = arena.num_blocks();
-  void* big = arena.Allocate(10000);
-  EXPECT_NE(big, nullptr);
-  EXPECT_GT(arena.num_blocks(), blocks_before);
-  EXPECT_GE(arena.bytes_reserved(), 10000u);
-}
 
 // ---- SoA event queue ------------------------------------------------------
 
@@ -251,7 +216,7 @@ TEST(NextGaussianFastTest, TailProbabilitiesMatch) {
 // ---- Whole-simulator determinism ------------------------------------------
 
 // Twin runs of one configuration must agree bit for bit: the hot-path
-// machinery above (arena, SoA queue, batched draws, bin tables, ziggurat)
+// machinery above (SoA queue, batched draws, bin tables, ziggurat)
 // is allowed to be fast, not to be approximately deterministic.
 TEST(ClusterSimHotPathTest, TwinRunsAreBitIdentical) {
   const models::ModelZoo& zoo = models::DefaultZoo();

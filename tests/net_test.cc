@@ -174,7 +174,6 @@ TEST(EpollServer, EchoesResponsesAcrossThreads) {
   // eventfd wake path.
   EpollServer* server_ptr = nullptr;
   EpollServer server(
-      EpollServerOptions{},
       [&](int conn_id, const Frame& frame) {
         ASSERT_EQ(frame.type, FrameType::kRequest);
         std::vector<std::uint8_t> out;
@@ -231,9 +230,8 @@ TEST(EpollServer, EchoesResponsesAcrossThreads) {
 
 TEST(EpollServer, DecodeErrorClosesOnlyTheBadConnection) {
   std::atomic<int> closed{0};
-  EpollServer server(
-      EpollServerOptions{}, [](int, const Frame&) {},
-      [&](int) { closed.fetch_add(1); });
+  EpollServer server([](int, const Frame&) {},
+                     [&](int) { closed.fetch_add(1); });
   const std::uint16_t port = server.Listen();
 
   const int good = ConnectLoopback(port);
@@ -260,7 +258,7 @@ TEST(EpollServer, DecodeErrorClosesOnlyTheBadConnection) {
 }
 
 TEST(EpollServer, ShutdownClosesEverythingAndIsIdempotent) {
-  EpollServer server(EpollServerOptions{}, [](int, const Frame&) {}, nullptr);
+  EpollServer server([](int, const Frame&) {}, nullptr);
   const std::uint16_t port = server.Listen();
   const int fd = ConnectLoopback(port);
   while (server.open_connections() < 1) server.Poll(10);

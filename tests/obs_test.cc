@@ -1,6 +1,7 @@
-// Tests for the observability layer (src/obs): sharded metric folds vs a
-// serial reference at several writer-thread counts, snapshot determinism
-// across thread counts, tracer ring wraparound, a seeded property test
+// Tests for the observability layer (src/obs): metric folds vs a serial
+// reference at several writer-thread counts, snapshot determinism across
+// thread counts (a hand-driven pool and a real fleet), tracer ring
+// wraparound, a seeded property test
 // that dumped traces are always well-formed (matched B/E pairs, monotone
 // timestamps per lane) no matter how spans nest or wrap, and counter
 // ownership: each optimizer counter is counted once, by the search that
@@ -8,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -20,6 +23,7 @@
 #include "common/quantile.h"
 #include "common/thread_pool.h"
 #include "core/harness.h"
+#include "fleet/fleet_sim.h"
 #include "graph/neighbors.h"
 #include "models/zoo.h"
 #include "obs/metrics.h"
@@ -77,21 +81,13 @@ TEST_F(ObsTest, FoldEqualsSerialReferenceAtSeveralThreadCounts) {
     EXPECT_EQ(counter->Fold(), expected_count) << threads << " threads";
     EXPECT_EQ(hist->FoldCount(), kItems) << threads << " threads";
     // The fold rebuilds the serial histogram bit for bit: same bins, same
-    // quantiles, regardless of which shard each observation landed in.
+    // quantiles, regardless of which thread observed what.
     const LogHistogramQuantile folded = hist->Fold();
     for (const double q : {0.5, 0.95, 0.99}) {
       EXPECT_EQ(folded.Quantile(q), expected_hist.Quantile(q))
           << threads << " threads, q=" << q;
     }
   }
-}
-
-TEST_F(ObsTest, GaugeFoldIsLastWriteForSingleWriter) {
-  Gauge* gauge = Registry::Get().GetGauge("test.gauge");
-  gauge->Set(1.5);
-  gauge->Set(-3.25);
-  gauge->Set(42.0);
-  EXPECT_EQ(gauge->Fold(), 42.0);
 }
 
 // The snapshot rows a run records must be a function of the seeded work,
@@ -134,6 +130,37 @@ TEST_F(ObsTest, SnapshotRowsAreIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.size(), static_cast<std::size_t>(kRounds) * 2);
   EXPECT_EQ(run(2), serial);
   EXPECT_EQ(run(8), serial);
+}
+
+// The same contract on the program's own fleet: regions step on pool
+// threads between barriers, and everything the registry records — the
+// snapshot log and the final fold, every field of every row, as the
+// metrics dump writes them — must not depend on how many.
+TEST_F(ObsTest, FleetMetricsAreIdenticalAcrossThreadCounts) {
+  fleet::FleetConfig config;
+  config.regions = fleet::RegionsFromPresets(
+      {"us-west", "ap-northeast", "eu-west", "us-east"}, /*gpus=*/2);
+  config.duration_hours = 2.0;
+  config.scheme = core::Scheme::kClover;
+  const std::string path = ::testing::TempDir() + "/obs_fleet_metrics.json";
+
+  auto run = [&](int threads) {
+    Registry::Get().ResetForTest();
+    config.threads = threads;
+    fleet::RunFleet(config, models::DefaultZoo());
+    if (CLOVER_OBS_BUILD) {
+      EXPECT_FALSE(Registry::Get().Snapshots().empty());  // OFF records none
+    }
+    EXPECT_TRUE(Registry::Get().WriteMetricsJson(path));
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  // A first run registers every metric the fleet touches, so both compared
+  // runs fold the same set of names from their first sample on.
+  run(1);
+  const std::string serial = run(1);
+  EXPECT_EQ(run(4), serial);
 }
 
 TEST_F(ObsTest, DisabledMacrosRecordNothing) {
@@ -328,6 +355,11 @@ std::uint64_t CounterValue(const char* name) {
   return Registry::Get().GetCounter(name)->Fold();
 }
 
+// What a counter site records for `n` events: an OFF build
+// (-DCLOVER_OBS=OFF) compiles every CLOVER_OBS_* site out, so there the
+// counters must stay at 0.
+std::uint64_t Recorded(std::uint64_t n) { return CLOVER_OBS_BUILD ? n : 0; }
+
 // A search driven directly — no controller around it, as in the bench
 // rows — still counts what it screened and evaluated.
 TEST_F(ObsTest, DirectScreenedSearchesCountScreenedAndEvaluated) {
@@ -354,8 +386,9 @@ TEST_F(ObsTest, DirectScreenedSearchesCountScreenedAndEvaluated) {
   const opt::SearchResult random = random_search.Run(base, params, 250.0);
   ASSERT_GT(random.screened, 0);
   EXPECT_EQ(CounterValue("opt.screened"),
-            static_cast<std::uint64_t>(random.screened));
-  EXPECT_EQ(CounterValue("opt.evaluated"), random.evaluations.size());
+            Recorded(static_cast<std::uint64_t>(random.screened)));
+  EXPECT_EQ(CounterValue("opt.evaluated"),
+            Recorded(random.evaluations.size()));
 
   Registry::Get().ResetForTest();
   graph::NeighborSampler sampler(&mapper, 7);
@@ -368,8 +401,9 @@ TEST_F(ObsTest, DirectScreenedSearchesCountScreenedAndEvaluated) {
   const opt::SearchResult annealed = annealer.Run(base, params, 250.0);
   ASSERT_GT(annealed.screened, 0);
   EXPECT_EQ(CounterValue("opt.screened"),
-            static_cast<std::uint64_t>(annealed.screened));
-  EXPECT_EQ(CounterValue("opt.evaluated"), annealed.evaluations.size());
+            Recorded(static_cast<std::uint64_t>(annealed.screened)));
+  EXPECT_EQ(CounterValue("opt.evaluated"),
+            Recorded(annealed.evaluations.size()));
 }
 
 // Driven by the controller, the same counters still count each event once:
@@ -397,9 +431,10 @@ TEST_F(ObsTest, ControllerStepsDoNotDoubleCountSearchCounters) {
     evaluated += run.search.evaluations.size();
   }
   EXPECT_GT(screened, 0u);
-  EXPECT_EQ(CounterValue("opt.screened"), screened);
-  EXPECT_EQ(CounterValue("opt.evaluated"), evaluated);
-  EXPECT_EQ(CounterValue("opt.invocations"), report.optimizations.size());
+  EXPECT_EQ(CounterValue("opt.screened"), Recorded(screened));
+  EXPECT_EQ(CounterValue("opt.evaluated"), Recorded(evaluated));
+  EXPECT_EQ(CounterValue("opt.invocations"),
+            Recorded(report.optimizations.size()));
 }
 
 }  // namespace

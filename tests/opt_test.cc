@@ -100,7 +100,7 @@ TEST(Objective, AccuracyThresholdPenalty) {
   ObjectiveParams unconstrained = Fig6Params();
   EXPECT_DOUBLE_EQ(ObjectiveF(within, params, 100.0),
                    ObjectiveF(within, unconstrained, 100.0));
-  // Beyond: penalized by threshold_penalty * excess = 200 * 3 = 600.
+  // Beyond: penalized by the threshold penalty's slope * excess = 200 * 3.
   EXPECT_NEAR(ObjectiveF(beyond, params, 100.0),
               ObjectiveF(beyond, unconstrained, 100.0) - 600.0, 1e-9);
 }

@@ -8,9 +8,8 @@
 
 namespace clover::testing {
 
-carbon::CarbonTrace FlatTrace(double g_per_kwh, double duration_hours,
-                              double sample_interval_s) {
-  return carbon::FlatTrace(g_per_kwh, duration_hours, sample_interval_s);
+carbon::CarbonTrace FlatTrace(double g_per_kwh, double duration_hours) {
+  return carbon::FlatTrace(g_per_kwh, duration_hours);
 }
 
 carbon::CarbonTrace ProfileTrace(carbon::TraceProfile profile,
@@ -22,10 +21,8 @@ carbon::CarbonTrace ProfileTrace(carbon::TraceProfile profile,
 }
 
 carbon::CarbonTrace StepTrace(double low, double high, double period_hours,
-                              double duration_hours,
-                              double sample_interval_s) {
-  return carbon::StepTrace(low, high, period_hours, duration_hours,
-                           sample_interval_s);
+                              double duration_hours) {
+  return carbon::StepTrace(low, high, period_hours, duration_hours);
 }
 
 }  // namespace clover::testing

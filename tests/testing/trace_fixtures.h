@@ -19,8 +19,7 @@ namespace clover::testing {
 
 // Constant intensity: any carbon saving must come from serving the same
 // load with less energy, not from shifting work to cleaner hours.
-carbon::CarbonTrace FlatTrace(double g_per_kwh, double duration_hours,
-                              double sample_interval_s = 300.0);
+carbon::CarbonTrace FlatTrace(double g_per_kwh, double duration_hours);
 
 // Synthetic grid profile at scenario scale (deterministic per seed).
 carbon::CarbonTrace ProfileTrace(carbon::TraceProfile profile,
@@ -29,7 +28,6 @@ carbon::CarbonTrace ProfileTrace(carbon::TraceProfile profile,
 // Square wave alternating `low` and `high` gCO2/kWh every `period_hours`,
 // starting low. Each edge is a guaranteed reoptimization trigger.
 carbon::CarbonTrace StepTrace(double low, double high, double period_hours,
-                              double duration_hours,
-                              double sample_interval_s = 300.0);
+                              double duration_hours);
 
 }  // namespace clover::testing
